@@ -18,7 +18,7 @@
 
 int main(int argc, char** argv) {
   using namespace voprof;
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Figure 10: virtualization-overhead "
                "aware resource provisioning ===\n"
                "Training the overhead model, profiling VM roles with the "

@@ -168,7 +168,7 @@ void fig2e(const runner::RunOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Figure 2: resource utilizations for "
                "one VM ===\n"
                "Protocol: 1 s samples averaged over 2 simulated minutes "

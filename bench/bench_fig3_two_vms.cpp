@@ -155,7 +155,7 @@ void fig3e(const runner::RunOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Figure 3: resource utilizations for "
                "two co-located VMs ===\n\n";
   fig3a(opts);

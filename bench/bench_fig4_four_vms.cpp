@@ -149,7 +149,7 @@ void fig4e(const runner::RunOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Figure 4: resource utilizations for "
                "four co-located VMs ===\n\n";
   fig4a(opts);

@@ -84,7 +84,7 @@ void fig5b(const runner::RunOptions& opts) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Figure 5: intra-PM bandwidth-intensive "
                "workload ===\n\n";
   fig5a(opts);

@@ -16,7 +16,7 @@
 
 int main(int argc, char** argv) {
   using namespace voprof;
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Figure 7: resource utilization "
                "prediction, PM hosting one VM ===\n"
                "Training the Sec. V models from the Table II sweep "

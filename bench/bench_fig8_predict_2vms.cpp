@@ -13,7 +13,7 @@
 
 int main(int argc, char** argv) {
   using namespace voprof;
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Figure 8: resource utilization "
                "prediction, PM hosting two VMs ===\n"
                "Two independent RUBiS sets: 2 web VMs on PM1, 2 DB VMs on "

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace voprof;
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Figure 9: resource utilization "
                "prediction, PMs hosting three VMs each ===\n"
                "Three independent RUBiS sets: 3 web VMs on PM1, 3 DB VMs "

@@ -16,21 +16,35 @@
 
 #include "harness.hpp"
 #include "voprof/runner/runner.hpp"
+#include "voprof/util/assert.hpp"
 #include "voprof/util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace voprof;
-  const util::CliArgs args = util::CliArgs::parse(argc, argv);
+  namespace harness = voprof::bench::harness;
 
   runner::RunOptions opts;
-  opts.jobs = args.get_int("jobs", 0);
-
   runner::MicroSweepConfig config;
-  config.duration = util::seconds(args.get_double("duration", 30.0));
-  config.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
-  const std::string out_path = args.get_or("out", "");
+  std::string out_path;
+  harness::parse_cli_or_exit(
+      argc, argv, "[--jobs N] [--out FILE] [--duration SEC] [--seed S]",
+      [&] {
+        const util::CliArgs args = util::CliArgs::parse(argc, argv);
+        VOPROF_REQUIRE_MSG(args.command().empty(),
+                           "unexpected positional argument: " +
+                               args.command());
+        for (const std::string& name : args.flag_names()) {
+          VOPROF_REQUIRE_MSG(name == "jobs" || name == "out" ||
+                                 name == "duration" || name == "seed",
+                             "unknown flag --" + name);
+        }
+        opts.jobs = args.get_int("jobs", 0);
+        config.duration = util::seconds(args.get_double("duration", 30.0));
+        config.base_seed =
+            static_cast<std::uint64_t>(args.get_int("seed", 42));
+        out_path = args.get_or("out", "");
+      });
 
-  namespace harness = voprof::bench::harness;
   const auto t0 = std::chrono::steady_clock::now();
   const util::CsvDocument csv = runner::run_micro_sweep(config, opts);
   harness::Session::global().record_section(

@@ -39,7 +39,7 @@ constexpr std::array<WorkloadKind, 4> kKinds = {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Table II: generated benchmarks for "
                "the measurement study ===\n\n";
 

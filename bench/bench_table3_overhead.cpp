@@ -37,7 +37,7 @@ OverheadReading overheads(const bench::CellResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const runner::RunOptions opts = runner::options_from_cli(argc, argv);
+  const runner::RunOptions opts = bench::cli_options(argc, argv);
   std::cout << "=== Reproduction of Table III: definition of utilization "
                "overhead ===\n\n"
             << "Overhead metrics: CPU = |Dom0|+|hypervisor|; "

@@ -22,6 +22,16 @@
 
 namespace voprof::bench {
 
+/// runner::options_from_cli (`--jobs N`, `--trace FILE`) behind the
+/// benches' shared --help / bad-flag exit (harness::parse_cli_or_exit).
+inline runner::RunOptions cli_options(int argc, const char* const* argv) {
+  runner::RunOptions opts;
+  harness::parse_cli_or_exit(argc, argv, "[--jobs N] [--trace FILE]", [&] {
+    opts = runner::options_from_cli(argc, argv);
+  });
+  return opts;
+}
+
 /// Mean utilizations of one measured cell.
 struct CellResult {
   mon::UtilSample vm;      ///< first VM (all VMs are symmetric)

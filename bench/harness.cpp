@@ -237,6 +237,27 @@ void Session::write_file() {
   dirty_ = false;
 }
 
+void parse_cli_or_exit(int argc, const char* const* argv,
+                       const std::string& usage,
+                       const std::function<void()>& parse) {
+  const std::string line = std::string("usage: ") +
+                           (argc > 0 ? argv[0] : "bench") + ' ' + usage +
+                           '\n';
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      std::fputs(line.c_str(), stdout);
+      std::exit(0);
+    }
+  }
+  try {
+    parse();
+  } catch (const util::ContractViolation& e) {
+    std::fprintf(stderr, "%s\n%s", e.what(), line.c_str());
+    std::exit(2);
+  }
+}
+
 Session& Session::global() {
   static Session session([] {
 #if defined(__GLIBC__)

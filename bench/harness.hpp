@@ -141,4 +141,13 @@ class Session {
   bool dirty_ = false;
 };
 
+/// The benches' one command-line exit path. `--help` or `-h` anywhere
+/// prints "usage: <argv[0]> <usage>" and exits 0. Otherwise `parse`
+/// runs; a util::ContractViolation from it (unknown flag, missing or
+/// malformed value) prints the error plus the usage line to stderr and
+/// exits 2 instead of aborting the process.
+void parse_cli_or_exit(int argc, const char* const* argv,
+                       const std::string& usage,
+                       const std::function<void()>& parse);
+
 }  // namespace voprof::bench::harness

@@ -3,7 +3,8 @@
 /// diurnal tenant workloads rise toward a midday peak, the hotspot
 /// controller watches the model-predicted host utilization, and live
 /// migrations rebalance the cluster when a host's *true* load (guests
-/// + Dom0 + hypervisor) crests. The xentrace-style log shows what the
+/// + Dom0 + hypervisor) crests. A xentrace-style digest, read from the
+/// obs registry counters before and after the day, shows what the
 /// substrate did.
 ///
 /// Run: ./cloud_operations [day_seconds]
@@ -13,13 +14,13 @@
 #include <iostream>
 #include <memory>
 
+#include "voprof/obs/metrics.hpp"
 #include "voprof/placement/hotspot.hpp"
 #include "voprof/util/table.hpp"
 #include "voprof/util/units.hpp"
 #include "voprof/voprof.hpp"
 #include "voprof/workloads/trace.hpp"
 #include "voprof/xensim/cluster.hpp"
-#include "voprof/xensim/tracelog.hpp"
 
 int main(int argc, char** argv) {
   using namespace voprof;
@@ -36,7 +37,6 @@ int main(int argc, char** argv) {
                "(packed tight on host 0/1)...\n";
   sim::Engine engine;
   sim::Cluster cluster(engine, sim::CostModel{}, 2026);
-  sim::TraceLog& trace = cluster.enable_tracing(16384);
   for (int i = 0; i < 3; ++i) cluster.add_machine(sim::MachineSpec{});
 
   // Tenants with staggered phases: some peak together at "midday".
@@ -63,6 +63,15 @@ int main(int argc, char** argv) {
   place::HotspotController controller(cluster, &models.multi, {0, 1, 2},
                                       hcfg);
   controller.start();
+
+  // The xentrace digest: registry counters as deltas over the day.
+  const char* const digest[] = {"machine.contention_episodes",
+                                "machine.disk_throttle_ticks",
+                                "machine.nic_throttle_ticks"};
+  std::uint64_t before[3] = {};
+  for (int i = 0; i < 3; ++i) {
+    before[i] = obs::Registry::global().counter(digest[i]).value();
+  }
 
   std::cout << "[3/3] Simulating " << util::fmt(day_s, 0)
             << " s (one compressed day)...\n\n";
@@ -94,16 +103,15 @@ int main(int argc, char** argv) {
     std::cout << "  (none needed)\n";
   }
 
-  std::cout << "\nxentrace digest (events recorded: "
-            << trace.total_recorded() << "):\n";
-  std::printf("  sched-contention: %zu\n",
-              trace.events_of(sim::TraceEventType::kSchedContention).size());
-  std::printf("  migrations:       %zu started, %zu finished\n",
-              trace.events_of(sim::TraceEventType::kMigrationStarted).size(),
-              trace.events_of(sim::TraceEventType::kMigrationFinished)
-                  .size());
-  std::printf("  vm lifecycle:     %zu created\n",
-              trace.events_of(sim::TraceEventType::kVmCreated).size());
+  std::cout << "\nxentrace digest (obs counters over the day):\n";
+  for (int i = 0; i < 3; ++i) {
+    std::printf("  %-28s %llu\n", digest[i],
+                static_cast<unsigned long long>(
+                    obs::Registry::global().counter(digest[i]).value() -
+                    before[i]));
+  }
+  std::printf("  %-28s %zu\n", "hotspot migrations",
+              controller.migrations_triggered());
 
   std::cout << "\nFinal layout: ";
   for (std::size_t i = 0; i < 3; ++i) {

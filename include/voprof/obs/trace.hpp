@@ -8,8 +8,10 @@
 ///    phases, runner tasks, TaskPool jobs, bench reps. Timestamps are
 ///    microseconds since the collector was enabled.
 ///  - sim time (pid kSimPid): when things happened inside the
-///    simulated cluster — contention episodes, migrations, TraceLog
-///    ring events. Timestamps are SimMicros verbatim.
+///    simulated cluster — contention episodes as spans; VM lifecycle,
+///    per-tick contention, device throttling and migrations as
+///    instants the machines and migration engine emit directly.
+///    Timestamps are SimMicros verbatim.
 /// Both feed one TraceCollector; the exporter tags each event with its
 /// clock's pid so the viewer shows them as parallel tracks.
 ///
@@ -123,9 +125,10 @@ class TraceCollector {
   void complete_sim(std::string cat, std::string name, std::int64_t ts_us,
                     std::int64_t dur_us, std::uint64_t tid,
                     std::vector<std::pair<std::string, double>> args = {});
+  /// Sim-clock instant with a numeric `value` arg, plus a `subject`
+  /// arg (the VM concerned) when `subject` is non-empty.
   void instant_sim(std::string cat, std::string name, std::int64_t ts_us,
-                   std::uint64_t tid,
-                   std::vector<std::pair<std::string, std::string>> sargs = {});
+                   std::uint64_t tid, double value, std::string subject = {});
 
   /// Full export: Chrome trace-event object with traceEvents (metadata
   /// + buffered events + one 'C' counter sample per registry metric),

@@ -29,4 +29,9 @@ namespace voprof::util {
 /// independent of the global C and C++ locales.
 [[nodiscard]] bool parse_double(std::string_view text, double& out) noexcept;
 
+/// `v` as an int when it is finite, integral and within int's range;
+/// false (leaving `out` untouched) otherwise. Check before casting: a
+/// static_cast<int> of nan, inf or 1e20 is undefined behaviour.
+[[nodiscard]] bool exact_int(double v, int& out) noexcept;
+
 }  // namespace voprof::util

@@ -5,6 +5,11 @@
 /// ticks every machine, then routes the outbound flows (delivery lands
 /// in the receivers' inboxes and is processed on their next tick —
 /// a one-tick wire latency, invisible at the 1 s sampling interval).
+///
+/// What the substrate did — VM lifecycle, scheduler contention, device
+/// throttling, live migrations — goes straight onto the sim clock of
+/// obs::TraceCollector::global() as instants (tid = PM id) whenever
+/// that collector is enabled.
 
 #include <memory>
 #include <vector>
@@ -64,13 +69,6 @@ class Cluster final : public TickListener {
   /// after migrations). Returns the hosting machine or nullptr.
   [[nodiscard]] PhysicalMachine* locate_vm(const std::string& vm_name) noexcept;
 
-  /// Enable xentrace-style event logging across the whole cluster
-  /// (all current and future machines plus the migration engine).
-  /// Returns the log; repeated calls return the same instance.
-  TraceLog& enable_tracing(std::size_t capacity = 4096);
-  /// The trace log, or nullptr when tracing is disabled.
-  [[nodiscard]] TraceLog* trace_log() noexcept { return trace_.get(); }
-
   void tick(util::SimMicros now, double dt) override;
 
  private:
@@ -80,7 +78,6 @@ class Cluster final : public TickListener {
   std::vector<std::unique_ptr<PhysicalMachine>> machines_;
   MigrationEngine migration_;
   NetworkFabric fabric_;
-  std::unique_ptr<TraceLog> trace_;
   double dropped_kbits_ = 0.0;
 };
 

@@ -19,7 +19,6 @@
 #include "voprof/xensim/domain.hpp"
 #include "voprof/xensim/scheduler.hpp"
 #include "voprof/xensim/spec.hpp"
-#include "voprof/xensim/tracelog.hpp"
 #include "voprof/xensim/vdisk.hpp"
 
 namespace voprof::sim {
@@ -94,9 +93,6 @@ class PhysicalMachine {
     return throttled_nic_kbits_;
   }
 
-  /// Attach an xentrace-style event log (not owned; nullptr disables).
-  void set_trace_log(TraceLog* log) noexcept { trace_ = log; }
-
   /// Cumulative counters for every entity on this PM.
   [[nodiscard]] MachineSnapshot snapshot(util::SimMicros now) const;
 
@@ -150,7 +146,6 @@ class PhysicalMachine {
   double pending_dom0_rx_kbits_ = 0.0;
   double throttled_disk_blocks_ = 0.0;
   double throttled_nic_kbits_ = 0.0;
-  TraceLog* trace_ = nullptr;
   util::SimMicros last_now_ = 0;
   // Sim time when the current CPU-contention episode began, or -1 when
   // the scheduler is currently satisfying everyone. Drives the

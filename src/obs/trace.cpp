@@ -182,7 +182,7 @@ void TraceCollector::complete_sim(
 
 void TraceCollector::instant_sim(
     std::string cat, std::string name, std::int64_t ts_us, std::uint64_t tid,
-    std::vector<std::pair<std::string, std::string>> sargs) {
+    double value, std::string subject) {
   if (!enabled()) {
     return;
   }
@@ -193,7 +193,10 @@ void TraceCollector::instant_sim(
   rec.name = std::move(name);
   rec.ts_us = ts_us;
   rec.tid = tid;
-  rec.sargs = std::move(sargs);
+  rec.args.emplace_back("value", value);
+  if (!subject.empty()) {
+    rec.sargs.emplace_back("subject", std::move(subject));
+  }
   record(std::move(rec));
 }
 

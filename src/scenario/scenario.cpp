@@ -190,13 +190,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   runs.add();
   sim::Engine engine;
   sim::Cluster cluster(engine, sim::CostModel{}, spec.seed);
-  // With a trace being collected, attach the xentrace-style ring to
-  // every machine and re-emit its events onto the sim timeline at the
-  // end of the run.
-  const bool obs_tracing = obs::TraceCollector::global().enabled();
-  if (obs_tracing) {
-    cluster.enable_tracing();
-  }
   for (int i = 0; i < spec.machines; ++i) {
     sim::MachineSpec mspec;
     mspec.scheduler = spec.scheduler;
@@ -247,9 +240,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
   for (std::size_t i = 0; i < monitors.size(); ++i) {
     monitors[i]->stop();
     result.reports.emplace(monitored[i], monitors[i]->report());
-  }
-  if (obs_tracing && cluster.trace_log() != nullptr) {
-    sim::tracelog_export_to_obs(*cluster.trace_log());
   }
   return result;
 }

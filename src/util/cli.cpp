@@ -61,9 +61,8 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
 
 int CliArgs::get_int(const std::string& name, int fallback) const {
   const double v = get_double(name, static_cast<double>(fallback));
-  const int i = static_cast<int>(v);
-  VOPROF_REQUIRE_MSG(static_cast<double>(i) == v,
-                     "flag --" + name + " must be an integer");
+  int i = 0;
+  VOPROF_REQUIRE_MSG(exact_int(v, i), "flag --" + name + " must be an integer");
   return i;
 }
 

@@ -50,8 +50,8 @@ double IniSection::get_double(const std::string& key, double fallback) const {
 
 int IniSection::get_int(const std::string& key, int fallback) const {
   const double v = get_double(key, static_cast<double>(fallback));
-  const int i = static_cast<int>(v);
-  VOPROF_REQUIRE_MSG(static_cast<double>(i) == v,
+  int i = 0;
+  VOPROF_REQUIRE_MSG(exact_int(v, i),
                      "[" + kind + "] " + key + " must be an integer");
   return i;
 }

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <system_error>
 
 namespace voprof::util {
@@ -31,6 +32,17 @@ bool parse_double(std::string_view text, double& out) noexcept {
     return false;
   }
   out = value;
+  return true;
+}
+
+bool exact_int(double v, int& out) noexcept {
+  // NaN fails both comparisons.
+  if (!(v >= std::numeric_limits<int>::min() &&
+        v <= std::numeric_limits<int>::max()) ||
+      std::trunc(v) != v) {
+    return false;
+  }
+  out = static_cast<int>(v);
   return true;
 }
 

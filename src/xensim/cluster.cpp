@@ -19,16 +19,7 @@ PhysicalMachine& Cluster::add_machine(MachineSpec spec) {
   const int id = static_cast<int>(machines_.size());
   machines_.push_back(std::make_unique<PhysicalMachine>(
       id, spec, costs_, rng_.split()));
-  if (trace_ != nullptr) machines_.back()->set_trace_log(trace_.get());
   return *machines_.back();
-}
-
-TraceLog& Cluster::enable_tracing(std::size_t capacity) {
-  if (trace_ == nullptr) {
-    trace_ = std::make_unique<TraceLog>(capacity);
-    for (auto& m : machines_) m->set_trace_log(trace_.get());
-  }
-  return *trace_;
 }
 
 PhysicalMachine& Cluster::machine(std::size_t idx) {

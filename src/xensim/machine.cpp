@@ -47,10 +47,9 @@ DomU& PhysicalMachine::add_vm(VmSpec vm_spec) {
   GuestState st;
   st.dom = std::make_unique<DomU>(std::move(vm_spec));
   guests_.push_back(std::move(st));
-  if (trace_ != nullptr) {
-    trace_->record({last_now_, TraceEventType::kVmCreated, id_,
-                    guests_.back().dom->name(), 0.0});
-  }
+  obs::TraceCollector::global().instant_sim(
+      "vm", "vm-created", last_now_, static_cast<std::uint64_t>(id_), 0.0,
+      guests_.back().dom->name());
   return *guests_.back().dom;
 }
 
@@ -59,10 +58,9 @@ bool PhysicalMachine::remove_vm(const std::string& name) {
       guests_.begin(), guests_.end(),
       [&name](const GuestState& g) { return g.dom->name() == name; });
   if (it == guests_.end()) return false;
-  if (trace_ != nullptr) {
-    trace_->record(
-        {last_now_, TraceEventType::kVmRemoved, id_, name, 0.0});
-  }
+  obs::TraceCollector::global().instant_sim(
+      "vm", "vm-removed", last_now_, static_cast<std::uint64_t>(id_), 0.0,
+      name);
   guests_.erase(it);
   return true;
 }
@@ -156,6 +154,8 @@ double PhysicalMachine::hyp_sched_response() const noexcept {
 void PhysicalMachine::tick(util::SimMicros now, double dt) {
   VOPROF_REQUIRE(dt > 0.0);
   MachineMetrics::get().ticks.add();
+  obs::TraceCollector& trace = obs::TraceCollector::global();
+  const bool traced = trace.enabled();
   last_now_ = now;
   const bool multi = guests_.size() >= 2;
 
@@ -197,28 +197,29 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     scheduler_.allocate_into(requests, sched_);
   }
   const SchedResult& sched = sched_;
-  if (trace_ != nullptr && sched.contended) {
+  if (traced && sched.contended) {
     double unmet = 0.0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       unmet += std::max(0.0, std::min(requests[i].demand_pct,
                                       requests[i].cap_pct) -
                                  sched.granted_pct[i]);
     }
-    trace_->record(
-        {now, TraceEventType::kSchedContention, id_, "", unmet});
+    trace.instant_sim("scheduler", "sched-contention", now,
+                      static_cast<std::uint64_t>(id_), unmet);
   }
 
   // Contention episodes as sim-clock spans: open when the scheduler
   // first fails to satisfy aggregate demand, close on the first
   // satisfied tick. An episode still open at the end of a run is
-  // dropped (the trace has the per-tick ring events regardless).
+  // dropped (the trace has the per-tick sched-contention instants
+  // regardless).
   if (sched.contended && contention_begin_ < 0) {
     contention_begin_ = now;
   } else if (!sched.contended && contention_begin_ >= 0) {
     MachineMetrics::get().contention_episodes.add();
-    obs::TraceCollector::global().complete_sim(
-        "scheduler", "contention", contention_begin_, now - contention_begin_,
-        static_cast<std::uint64_t>(id_));
+    trace.complete_sim("scheduler", "contention", contention_begin_,
+                       now - contention_begin_,
+                       static_cast<std::uint64_t>(id_));
     contention_begin_ = -1;
   }
 
@@ -263,9 +264,10 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     if (disk_scale < 1.0) {
       MachineMetrics::get().disk_throttle_ticks.add();
     }
-    if (trace_ != nullptr && disk_scale < 1.0) {
-      trace_->record({now, TraceEventType::kDiskThrottled, id_, "",
-                      blocks_wanted_total * (1.0 - disk_scale)});
+    if (traced && disk_scale < 1.0) {
+      trace.instant_sim("device", "disk-throttled", now,
+                        static_cast<std::uint64_t>(id_),
+                        blocks_wanted_total * (1.0 - disk_scale));
     }
   }
 
@@ -328,9 +330,10 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     if (nic_scale < 1.0) {
       MachineMetrics::get().nic_throttle_ticks.add();
     }
-    if (trace_ != nullptr && nic_scale < 1.0) {
-      trace_->record({now, TraceEventType::kNicThrottled, id_, "",
-                      outbound_kbits * (1.0 - nic_scale)});
+    if (traced && nic_scale < 1.0) {
+      trace.instant_sim("device", "nic-throttled", now,
+                        static_cast<std::uint64_t>(id_),
+                        outbound_kbits * (1.0 - nic_scale));
     }
   }
   double outbound_sent = 0.0;

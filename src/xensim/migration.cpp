@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "voprof/obs/trace.hpp"
 #include "voprof/util/assert.hpp"
 #include "voprof/xensim/cluster.hpp"
 
@@ -42,10 +43,9 @@ int MigrationEngine::start(const std::string& vm_name, int from_pm,
       mib_to_kbits(vm->counters().mem_mib) * (1.0 + config.dirty_factor);
   st.started = cluster_.engine().now();
   const int id = static_cast<int>(status_.size());
-  if (TraceLog* log = cluster_.trace_log()) {
-    log->record({st.started, TraceEventType::kMigrationStarted, from_pm,
-                 vm_name, st.total_kbits});
-  }
+  obs::TraceCollector::global().instant_sim(
+      "migration", "migration-started", st.started,
+      static_cast<std::uint64_t>(from_pm), st.total_kbits, vm_name);
   status_.push_back(st);
   active_.push_back(Active{id, config});
   return id;
@@ -71,10 +71,9 @@ void MigrationEngine::tick(util::SimMicros now, double dt) {
       st.failed = true;
       st.done = true;
       st.finished = now;
-      if (TraceLog* log = cluster_.trace_log()) {
-        log->record({now, TraceEventType::kMigrationFailed, st.from_pm,
-                     st.vm_name, st.sent_kbits});
-      }
+      obs::TraceCollector::global().instant_sim(
+          "migration", "migration-failed", now,
+          static_cast<std::uint64_t>(st.from_pm), st.sent_kbits, st.vm_name);
       active_.erase(active_.begin() + static_cast<long>(i));
       continue;
     }
@@ -96,10 +95,9 @@ void MigrationEngine::tick(util::SimMicros now, double dt) {
       dst->adopt_vm(std::move(moved));
       st.done = true;
       st.finished = now;
-      if (TraceLog* log = cluster_.trace_log()) {
-        log->record({now, TraceEventType::kMigrationFinished, st.to_pm,
-                     st.vm_name, st.total_kbits});
-      }
+      obs::TraceCollector::global().instant_sim(
+          "migration", "migration-finished", now,
+          static_cast<std::uint64_t>(st.to_pm), st.total_kbits, st.vm_name);
       const int finished_id = a.id;
       active_.erase(active_.begin() + static_cast<long>(i));
       if (on_complete_) on_complete_(finished_id);

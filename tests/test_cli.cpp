@@ -63,6 +63,14 @@ TEST(Cli, NumericValidation) {
   EXPECT_THROW((void)a.get_double("v", 0.0), ContractViolation);
   EXPECT_THROW((void)a.get_int("f", 0), ContractViolation);  // not integral
   EXPECT_DOUBLE_EQ(a.get_double("f", 0.0), 1.5);
+  // Numeric but no int: rejected before the (undefined) cast.
+  for (const char* bad : {"1e20", "-1e20", "2147483648", "nan", "inf",
+                          "-inf"}) {
+    const CliArgs b = parse({"x", "--jobs", bad});
+    EXPECT_THROW((void)b.get_int("jobs", 0), ContractViolation) << bad;
+  }
+  EXPECT_EQ(parse({"x", "--n", "-2147483648"}).get_int("n", 0),
+            -2147483647 - 1);
 }
 
 TEST(Cli, FlagNamesEnumerated) {

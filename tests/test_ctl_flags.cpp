@@ -1,6 +1,6 @@
-/// The shared voprofctl/voprofd flag table: uniform spellings,
-/// deprecated-alias rewriting with warnings, and strict rejection of
-/// unknown flags and stray positionals.
+/// The shared voprofctl/voprofd flag table: uniform spellings and
+/// strict rejection of unknown flags (retired spellings included) and
+/// stray positionals.
 
 #include "ctl_flags.hpp"
 
@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace voprof::tools {
@@ -35,38 +36,29 @@ TEST(CtlFlags, ParsesKnownFlagsIntoCliArgs) {
       parse_flags("simulate", {"--scenario", "s.conf", "--replications", "5",
                                "--jobs", "3", "--format", "json"});
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_TRUE(parsed.value().warnings.empty());
-  EXPECT_EQ(parsed.value().args.get("scenario"), "s.conf");
-  EXPECT_EQ(parsed.value().args.get_int("replications", 0), 5);
-  EXPECT_EQ(parsed.value().args.get_int("jobs", 0), 3);
-  EXPECT_EQ(parsed.value().args.get_or("format", "table"), "json");
-}
-
-TEST(CtlFlags, DeprecatedSpellingsAreRewrittenWithAWarning) {
-  const auto simulate =
-      parse_flags("simulate", {"--scenario", "s.conf", "--csv", "out.csv"});
-  ASSERT_TRUE(simulate.ok());
-  EXPECT_FALSE(simulate.value().args.has("csv"));
-  EXPECT_EQ(simulate.value().args.get("series-out"), "out.csv");
-  ASSERT_EQ(simulate.value().warnings.size(), 1u);
-  EXPECT_EQ(simulate.value().warnings[0],
-            "--csv is deprecated; use --series-out");
-
-  const auto fit =
-      parse_flags("fit", {"--trace", "data.csv", "--out", "m.txt"});
-  ASSERT_TRUE(fit.ok());
-  EXPECT_EQ(fit.value().args.get("observations"), "data.csv");
-  ASSERT_EQ(fit.value().warnings.size(), 1u);
-  EXPECT_EQ(fit.value().warnings[0],
-            "--trace is deprecated; use --observations");
+  EXPECT_EQ(parsed.value().get("scenario"), "s.conf");
+  EXPECT_EQ(parsed.value().get_int("replications", 0), 5);
+  EXPECT_EQ(parsed.value().get_int("jobs", 0), 3);
+  EXPECT_EQ(parsed.value().get_or("format", "table"), "json");
 }
 
 TEST(CtlFlags, AliasesAreScopedToTheirCommand) {
-  // `simulate` has no --trace alias: there it is simply unknown.
-  const auto parsed =
-      parse_flags("simulate", {"--scenario", "s.conf", "--trace", "x"});
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.error().code, util::Errc::kValidation);
+  // The retired alias spellings (`simulate --csv`, `fit`/`inspect
+  // --trace`) are unknown flags like any other.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"simulate", {"--trace", "x", "--scenario", "s.conf"}},
+       {"simulate", {"--csv", "out.csv", "--scenario", "s.conf"}},
+       {"fit", {"--trace", "data.csv", "--out", "m.txt"}},
+       {"inspect", {"--trace", "data.csv"}}};
+  for (const auto& [command, tokens] : cases) {
+    const auto parsed = parse_flags(command, tokens);
+    ASSERT_FALSE(parsed.ok()) << command << ' ' << tokens[0];
+    EXPECT_EQ(parsed.error().code, util::Errc::kValidation);
+    EXPECT_NE(parsed.error().message.find("unknown flag " + tokens[0] +
+                                          " (valid: "),
+              std::string::npos)
+        << parsed.error().message;
+  }
 }
 
 TEST(CtlFlags, UnknownFlagsAreRejectedWithTheValidList) {
@@ -98,15 +90,15 @@ TEST(CtlFlags, BooleanSwitchesTakeNoValue) {
   const auto parsed = parse_flags(
       "serve", {"--socket", "/tmp/s.sock", "--enable-test-ops"});
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
-  EXPECT_TRUE(parsed.value().args.get_bool("enable-test-ops"));
-  EXPECT_EQ(parsed.value().args.get("socket"), "/tmp/s.sock");
+  EXPECT_TRUE(parsed.value().get_bool("enable-test-ops"));
+  EXPECT_EQ(parsed.value().get("socket"), "/tmp/s.sock");
 }
 
 TEST(CtlFlags, ArgvEntryPointSkipsTheCommandWords) {
   const char* argv[] = {"voprofctl", "predict", "--models", "m.txt"};
   const auto parsed = parse_flags_argv("predict", 4, argv, 2);
   ASSERT_TRUE(parsed.ok());
-  EXPECT_EQ(parsed.value().args.get("models"), "m.txt");
+  EXPECT_EQ(parsed.value().get("models"), "m.txt");
 }
 
 TEST(CtlFlags, MissingFlagValueIsAValidationError) {

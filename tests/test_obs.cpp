@@ -189,7 +189,7 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
   ASSERT_TRUE(col.enabled());
   col.complete_wall("testcat", "wall_span", 5, 10, {{"n", 1.0}});
   col.complete_sim("simcat", "sim_span", 100, 50, /*tid=*/3);
-  col.instant_sim("simcat", "blip", 120, /*tid=*/3, {{"subject", "vm1"}});
+  col.instant_sim("simcat", "blip", 120, /*tid=*/3, 2.5, "vm1");
   { VOPROF_WALL_SPAN("testcat", "scoped"); }
   EXPECT_EQ(col.size(), 4u);
 
@@ -227,6 +227,7 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
     if (name == "blip") {
       saw_instant = true;
       EXPECT_EQ(ph, "i");
+      EXPECT_DOUBLE_EQ(e.at("args").at("value").as_number(), 2.5);
       EXPECT_EQ(e.at("args").at("subject").as_string(), "vm1");
     }
   }

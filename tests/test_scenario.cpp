@@ -55,6 +55,9 @@ TEST(Ini, MalformedInputRejected) {
   const auto doc = util::IniDocument::parse("[s]\nk = abc\n");
   EXPECT_THROW((void)doc.unique("s").get_double("k", 0),
                util::ContractViolation);
+  const auto big = util::IniDocument::parse("[s]\nk = 1e20\nn = nan\n");
+  EXPECT_THROW((void)big.unique("s").get_int("k", 0), util::ContractViolation);
+  EXPECT_THROW((void)big.unique("s").get_int("n", 0), util::ContractViolation);
 }
 
 // --------------------------------------------------------- scenario spec

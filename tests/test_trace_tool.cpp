@@ -27,7 +27,7 @@ util::Json sample_doc() {
   col.complete_wall("runner", "SweepRunner.map", 5000, 2000);
   col.complete_wall("taskpool", "task", 100, 1500);
   col.complete_sim("scheduler", "contention", 0, 250000, /*tid=*/0);
-  col.instant_sim("vm", "vm-created", 10, /*tid=*/0, {{"subject", "vm1"}});
+  col.instant_sim("vm", "vm-created", 10, /*tid=*/0, 0.0, "vm1");
   util::Json doc = col.to_json();
   col.disable();
   return doc;

@@ -83,16 +83,7 @@ std::vector<std::string> known_commands() {
   return out;
 }
 
-const std::vector<FlagAlias>& flag_aliases() {
-  static const std::vector<FlagAlias> aliases = {
-      {"simulate", "csv", "series-out"},
-      {"fit", "trace", "observations"},
-      {"inspect", "trace", "observations"},
-  };
-  return aliases;
-}
-
-util::Result<ParsedFlags> parse_flags(const std::string& command,
+util::Result<util::CliArgs> parse_flags(const std::string& command,
                                       const std::vector<std::string>& tokens) {
   const CommandEntry* entry = find_command(command);
   if (entry == nullptr) {
@@ -107,49 +98,29 @@ util::Result<ParsedFlags> parse_flags(const std::string& command,
                        "cli"};
   }
 
-  ParsedFlags out;
-  // Rewrite deprecated spellings before structural parsing so the
-  // alias also works for `--csv value` pairs.
-  std::vector<std::string> rewritten;
-  rewritten.reserve(tokens.size() + 1);
-  rewritten.emplace_back("voprofctl");  // argv[0] slot CliArgs skips
-  for (const std::string& token : tokens) {
-    std::string mapped = token;
-    if (token.rfind("--", 0) == 0) {
-      const std::string name = token.substr(2);
-      for (const FlagAlias& alias : flag_aliases()) {
-        if (alias.command == command && alias.deprecated == name) {
-          mapped = "--" + alias.canonical;
-          out.warnings.push_back("--" + alias.deprecated +
-                                 " is deprecated; use --" + alias.canonical);
-          break;
-        }
-      }
-    }
-    rewritten.push_back(std::move(mapped));
-  }
-
   std::vector<const char*> argv;
-  argv.reserve(rewritten.size());
-  for (const std::string& t : rewritten) argv.push_back(t.c_str());
+  argv.reserve(tokens.size() + 1);
+  argv.push_back("voprofctl");  // argv[0] slot CliArgs skips
+  for (const std::string& t : tokens) argv.push_back(t.c_str());
   std::vector<std::string> bool_flags;
   for (const FlagSpec& f : entry->flags) {
     if (f.boolean) bool_flags.push_back(f.name);
   }
 
+  util::CliArgs args;
   try {
-    out.args = util::CliArgs::parse(static_cast<int>(argv.size()),
-                                    argv.data(), bool_flags);
+    args = util::CliArgs::parse(static_cast<int>(argv.size()), argv.data(),
+                                bool_flags);
   } catch (const util::ContractViolation& e) {
     return util::Error{util::Errc::kValidation, e.what(), command};
   }
-  if (!out.args.command().empty()) {
+  if (!args.command().empty()) {
     return util::Error{util::Errc::kValidation,
-                       "unexpected positional argument '" +
-                           out.args.command() + "'",
+                       "unexpected positional argument '" + args.command() +
+                           "'",
                        command};
   }
-  for (const std::string& name : out.args.flag_names()) {
+  for (const std::string& name : args.flag_names()) {
     const bool known =
         std::any_of(entry->flags.begin(), entry->flags.end(),
                     [&name](const FlagSpec& f) { return f.name == name; });
@@ -160,10 +131,10 @@ util::Result<ParsedFlags> parse_flags(const std::string& command,
                          command};
     }
   }
-  return out;
+  return args;
 }
 
-util::Result<ParsedFlags> parse_flags_argv(const std::string& command,
+util::Result<util::CliArgs> parse_flags_argv(const std::string& command,
                                            int argc,
                                            const char* const* argv,
                                            int first_token) {

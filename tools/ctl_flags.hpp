@@ -6,11 +6,7 @@
 ///  * unknown flags fail with the command's valid-flag list instead of
 ///    silently parsing;
 ///  * the cross-cutting flags keep one spelling everywhere: `--jobs`,
-///    `--seed`, `--format csv|json`, `--trace-out FILE`;
-///  * deprecated spellings (`simulate --csv` for `--series-out`,
-///    `fit/inspect --trace` for `--observations`) still work but are
-///    rewritten to their canonical flag with a one-line stderr
-///    warning.
+///    `--seed`, `--format csv|json`, `--trace-out FILE`.
 ///
 /// tests/test_ctl_flags.cpp drives this table directly; the binaries
 /// only wrap it.
@@ -29,13 +25,6 @@ struct FlagSpec {
   bool boolean = false;  ///< switch, takes no value
 };
 
-/// A deprecated spelling and the canonical flag it maps to.
-struct FlagAlias {
-  std::string command;     ///< command the alias applies to
-  std::string deprecated;  ///< old spelling (no leading --)
-  std::string canonical;
-};
-
 /// Flags accepted by `command`; empty when the command is unknown.
 [[nodiscard]] const std::vector<FlagSpec>& command_flags(
     const std::string& command);
@@ -43,27 +32,14 @@ struct FlagAlias {
 /// Commands registered in the table.
 [[nodiscard]] std::vector<std::string> known_commands();
 
-/// The deprecation map (exposed for the self-test).
-[[nodiscard]] const std::vector<FlagAlias>& flag_aliases();
-
-/// Result of canonicalizing a raw flag list.
-struct ParsedFlags {
-  util::CliArgs args;
-  /// Warnings emitted for deprecated spellings ("--csv is
-  /// deprecated; use --series-out"). The caller prints them (the
-  /// binaries send them to stderr); tests assert on them.
-  std::vector<std::string> warnings;
-};
-
-/// Parse the tokens after `<program> <command>`: rewrite deprecated
-/// spellings, reject flags the command does not declare (listing the
-/// valid ones), and hand back strict CliArgs. Errors are
-/// Errc::kValidation.
-[[nodiscard]] util::Result<ParsedFlags> parse_flags(
+/// Parse the tokens after `<program> <command>`: reject flags the
+/// command does not declare (listing the valid ones) and hand back
+/// strict CliArgs. Errors are Errc::kValidation.
+[[nodiscard]] util::Result<util::CliArgs> parse_flags(
     const std::string& command, const std::vector<std::string>& tokens);
 
 /// Convenience over argv: tokens = argv[first_token..argc).
-[[nodiscard]] util::Result<ParsedFlags> parse_flags_argv(
+[[nodiscard]] util::Result<util::CliArgs> parse_flags_argv(
     const std::string& command, int argc, const char* const* argv,
     int first_token);
 

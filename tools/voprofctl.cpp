@@ -31,8 +31,7 @@
 ///
 /// Every command accepts --trace-out FILE (observability trace export)
 /// and shares one spelling for --jobs / --seed / --format. Flags are
-/// declared in tools/ctl_flags.cpp; deprecated spellings are rewritten
-/// there with a warning.
+/// declared in tools/ctl_flags.cpp.
 
 #include <cstdio>
 #include <fstream>
@@ -565,16 +564,13 @@ int main(int argc, char** argv) {
       return cmd_trace(argv[2], util::CliArgs::parse(argc - 2, argv + 2));
     }
 
-    const util::Result<tools::ParsedFlags> parsed =
+    const util::Result<util::CliArgs> parsed =
         tools::parse_flags_argv(cmd, argc, argv, 2);
     if (!parsed.ok()) {
       std::cerr << "voprofctl: " << parsed.error().to_string() << '\n';
       return 2;
     }
-    for (const std::string& warning : parsed.value().warnings) {
-      std::cerr << "voprofctl: " << warning << '\n';
-    }
-    const util::CliArgs& args = parsed.value().args;
+    const util::CliArgs& args = parsed.value();
 
     // Uniform observability wiring: --trace-out (or VOPROF_TRACE)
     // enables the collector for ANY command; the file is written after

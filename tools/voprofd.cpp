@@ -33,16 +33,13 @@ int main(int argc, char** argv) {
       return 2;
     }
   }
-  const util::Result<tools::ParsedFlags> parsed =
+  const util::Result<util::CliArgs> parsed =
       tools::parse_flags_argv("serve", argc, argv, 1);
   if (!parsed.ok()) {
     std::cerr << "voprofd: " << parsed.error().to_string() << '\n';
     return 2;
   }
-  for (const std::string& warning : parsed.value().warnings) {
-    std::cerr << "voprofd: " << warning << '\n';
-  }
-  const util::CliArgs& args = parsed.value().args;
+  const util::CliArgs& args = parsed.value();
 
   auto& collector = obs::TraceCollector::global();
   if (args.has("trace-out")) {
