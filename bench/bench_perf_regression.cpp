@@ -1,10 +1,10 @@
 /// \file bench_perf_regression.cpp
 /// Harness microbenchmarks of the regression back-ends: OLS
 /// (Householder QR) vs Least Median of Squares (random elemental
-/// subsets) across observation counts, plus full model fits and
-/// prediction throughput. LMS is the paper's cited estimator [24];
-/// this quantifies what its robustness costs. Emits
-/// BENCH_perf_regression.json for the CI perf gate.
+/// subsets) across observation counts and on the Table II training
+/// rows, plus full model fits and prediction throughput. LMS is the
+/// paper's cited estimator [24]; this quantifies what its robustness
+/// costs. Emits BENCH_perf_regression.json for the CI perf gate.
 
 #include <cstdio>
 #include <string>
@@ -12,6 +12,7 @@
 #include "harness.hpp"
 #include "voprof/core/overhead_model.hpp"
 #include "voprof/core/regression.hpp"
+#include "voprof/core/trainer.hpp"
 #include "voprof/util/rng.hpp"
 
 namespace {
@@ -65,6 +66,25 @@ void bench_fit_lms(Session& session, std::size_t n, int fits_per_rep) {
       sum += fit_checksum(model::fit_lms(d.x, d.y, rng));
     }
     return RepResult{0.0, sum};
+  });
+}
+
+/// The fit the trainer actually runs: the single-VM CPU model over the
+/// rows of the Table II sweep (1 VM, 120 s cells), at the overhead
+/// models' LQS quantile. Unlike the dense random `fit_lms/n=*` data,
+/// these rows hold most resources at exact idle values, so many
+/// elemental subsets are singular.
+void bench_fit_lms_table2(Session& session) {
+  model::TrainerConfig tc;
+  tc.vm_counts = {1};
+  const model::TrainingSet data = model::Trainer(tc).collect();
+  const util::Matrix x = data.design();
+  const std::vector<double> y = data.response(model::MetricIndex::kCpu);
+  session.bench("fit_lms/table2", BenchOptions{1, 9}, [&]() {
+    util::Rng rng(7);
+    const model::LinearFit fit =
+        model::fit_lms(x, y, rng, model::model_fit_config());
+    return RepResult{0.0, fit_checksum(fit)};
   });
 }
 
@@ -131,6 +151,7 @@ int main() {
   bench_fit_lms(session, 64, 40);
   bench_fit_lms(session, 1024, 8);
   bench_fit_lms(session, 16384, 1);
+  bench_fit_lms_table2(session);
   bench_single_vm_model_fit(session);
   bench_predict(session);
   session.write_file();

@@ -67,9 +67,18 @@ struct LmsConfig {
 
 /// Fit by Least Median of Squares: draws random (p+1)-point elemental
 /// subsets, solves each exactly, keeps the candidate minimizing the
-/// median squared residual, then refines with OLS over the inliers
-/// within inlier_sigma robust standard deviations. Deterministic given
-/// the RNG state.
+/// median (config.quantile) squared residual, then refines with OLS
+/// over the inliers within inlier_sigma robust standard deviations.
+/// Deterministic given the RNG state.
+///
+/// The objective quantile is found by selection, not a sort. A
+/// candidate stops being scored once enough of its squared residuals
+/// exceed the incumbent's objective that it can no longer win. Singular
+/// draws are skipped without throwing. None of this changes the result:
+/// the winner is the one a full sort of every candidate would pick. The
+/// search allocates nothing per subset. It reports the
+/// `regression/fit_lms` wall span and the `regression.lms_subsets`,
+/// `.lms_singular` and `.lms_abandoned` counters.
 [[nodiscard]] LinearFit fit_lms(const util::Matrix& x,
                                 std::span<const double> y, util::Rng& rng,
                                 const LmsConfig& config = {});

@@ -56,9 +56,15 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// Solve the square system A x = b by Gaussian elimination with partial
-/// pivoting. Throws ContractViolation if A is singular (pivot below
-/// 1e-12 of the largest column magnitude).
+/// Solve the square system A x = b in place by Gaussian elimination
+/// with partial pivoting. Returns false, without throwing or
+/// allocating, if A is singular (no pivot candidate above 1e-12 in
+/// magnitude); on success `b` holds x. Either way `a` and `b` are left
+/// overwritten. Requires a square `a` with b.size() == a.rows().
+[[nodiscard]] bool solve_linear_in_place(Matrix& a, std::span<double> b);
+
+/// solve_linear_in_place on copies. Throws ContractViolation if A is
+/// singular.
 [[nodiscard]] std::vector<double> solve_linear(Matrix a,
                                                std::vector<double> b);
 

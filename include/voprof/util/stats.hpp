@@ -42,6 +42,15 @@ class RunningStats {
 /// Does not modify the input. Requires a non-empty sample.
 [[nodiscard]] double percentile(std::span<const double> sample, double q);
 
+/// percentile() by selection instead of a sort: the same value, bit for
+/// bit, in O(n). Reorders `sample`; never allocates.
+[[nodiscard]] double percentile_in_place(std::span<double> sample, double q);
+
+/// Index of the lower order statistic percentile() interpolates from,
+/// in a sample of n >= 1 values. percentile() never returns less than
+/// that order statistic.
+[[nodiscard]] std::size_t percentile_rank(std::size_t n, double q) noexcept;
+
 /// Mean of a sample (0 for empty).
 [[nodiscard]] double mean(std::span<const double> sample) noexcept;
 

@@ -2,8 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "voprof/core/invariants.hpp"
+#include "voprof/obs/metrics.hpp"
+#include "voprof/obs/trace.hpp"
 #include "voprof/util/assert.hpp"
 #include "voprof/util/stats.hpp"
 
@@ -59,6 +63,7 @@ std::vector<double> residuals(const LinearFit& fit, const util::Matrix& x,
 }
 
 LinearFit fit_ols(const util::Matrix& x, std::span<const double> y) {
+  VOPROF_WALL_SPAN("regression", "fit_ols");
   VOPROF_REQUIRE(x.rows() == y.size());
   VOPROF_REQUIRE_MSG(x.rows() >= x.cols() + 1,
                      "not enough observations for OLS");
@@ -90,6 +95,13 @@ LinearFit fit_wls(const util::Matrix& x, std::span<const double> y,
 
 LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
                   util::Rng& rng, const LmsConfig& config) {
+  VOPROF_WALL_SPAN("regression", "fit_lms");
+  static obs::Counter& subsets_counter =
+      obs::Registry::global().counter("regression.lms_subsets");
+  static obs::Counter& singular_counter =
+      obs::Registry::global().counter("regression.lms_singular");
+  static obs::Counter& abandoned_counter =
+      obs::Registry::global().counter("regression.lms_abandoned");
   VOPROF_REQUIRE(x.rows() == y.size());
   const std::size_t n = x.rows();
   const std::size_t p = x.cols() + 1;  // with intercept
@@ -98,11 +110,26 @@ LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
   VOPROF_REQUIRE(config.quantile >= 0.5 && config.quantile <= 1.0);
 
   const util::Matrix d = with_intercept(x);
+  // Objective: this percentile of the squared residuals over the full
+  // data set (50 = classic LMS; higher = Least Quantile of Squares).
+  const double q = config.quantile * 100.0;
+  // Once more than n-1-lo squared residuals strictly exceed the
+  // incumbent, the lo-th order statistic does too, and the objective
+  // never falls below it: the candidate cannot win, so stop scoring.
+  const std::size_t abandon_after = n - 1 - util::percentile_rank(n, q);
 
-  std::vector<double> best_coef;
-  double best_median = std::numeric_limits<double>::infinity();
+  // Scratch shared by every trial, so the search never allocates.
   std::vector<std::size_t> idx(p);
+  util::Matrix a(p, p);
+  std::vector<double> cand_coef(p);
   std::vector<double> sq(n);
+  std::vector<double> best_coef;
+  best_coef.reserve(p);
+  double best_median = std::numeric_limits<double>::infinity();
+  // Tallied here and published once per fit: per-trial atomics on
+  // shared counters would contend between parallel fits.
+  std::uint64_t singular = 0;
+  std::uint64_t abandoned = 0;
 
   for (int trial = 0; trial < config.subsets; ++trial) {
     // Draw p distinct row indices.
@@ -124,32 +151,37 @@ LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
       }
     }
     // Solve the elemental p x p system exactly; skip singular draws.
-    util::Matrix a(p, p);
-    std::vector<double> b(p);
     for (std::size_t r = 0; r < p; ++r) {
       for (std::size_t c = 0; c < p; ++c) a(r, c) = d(idx[r], c);
-      b[r] = y[idx[r]];
+      cand_coef[r] = y[idx[r]];
     }
-    std::vector<double> cand_coef;
-    try {
-      cand_coef = util::solve_linear(std::move(a), std::move(b));
-    } catch (const util::ContractViolation&) {
-      continue;  // degenerate subset
+    if (!util::solve_linear_in_place(a, cand_coef)) {
+      ++singular;
+      continue;
     }
-    // Objective quantile of squared residuals over the full data set
-    // (0.5 = classic LMS; higher = Least Quantile of Squares).
-    for (std::size_t r = 0; r < n; ++r) {
+    std::size_t exceed = 0;
+    std::size_t r = 0;
+    for (; r < n; ++r) {
+      const std::span<const double> row = d.row(r);
       double pred = 0.0;
-      for (std::size_t c = 0; c < p; ++c) pred += d(r, c) * cand_coef[c];
+      for (std::size_t c = 0; c < p; ++c) pred += row[c] * cand_coef[c];
       const double res = y[r] - pred;
       sq[r] = res * res;
+      if (sq[r] > best_median && ++exceed > abandon_after) break;
     }
-    const double med = util::percentile(sq, config.quantile * 100.0);
+    if (r < n) {
+      ++abandoned;
+      continue;
+    }
+    const double med = util::percentile_in_place(sq, q);
     if (med < best_median) {
       best_median = med;
-      best_coef = std::move(cand_coef);
+      best_coef.assign(cand_coef.begin(), cand_coef.end());
     }
   }
+  subsets_counter.add(static_cast<std::uint64_t>(config.subsets));
+  singular_counter.add(singular);
+  abandoned_counter.add(abandoned);
   VOPROF_REQUIRE_MSG(!best_coef.empty(),
                      "LMS failed: all elemental subsets degenerate");
 

@@ -128,9 +128,12 @@ TrainedModels Trainer::train(RegressionMethod method) const {
 
 TrainedModels Trainer::fit_models(TrainingSet data, RegressionMethod method,
                                   std::uint64_t seed) {
+  VOPROF_WALL_SPAN("trainer", "fit_models");
   TrainedModels out;
-  out.single = SingleVmModel::fit(data.with_vm_count(1), method, seed);
   out.multi = MultiVmModel::fit(data, method, seed);
+  // Eq. (3)'s base is the single-VM model, fitted on the same rows with
+  // the same seed: reuse it rather than fit it twice.
+  out.single = out.multi.base();
   out.data = std::move(data);
   return out;
 }

@@ -114,7 +114,7 @@ double Matrix::max_abs_diff(const Matrix& other) const {
   return m;
 }
 
-std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
+bool solve_linear_in_place(Matrix& a, std::span<double> b) {
   VOPROF_REQUIRE_MSG(a.rows() == a.cols(), "solve_linear needs a square matrix");
   VOPROF_REQUIRE(b.size() == a.rows());
   const std::size_t n = a.rows();
@@ -128,7 +128,7 @@ std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
         pivot = r;
       }
     }
-    VOPROF_REQUIRE_MSG(best > 1e-12, "singular matrix in solve_linear");
+    if (!(best > 1e-12)) return false;
     if (pivot != col) {
       for (std::size_t c = 0; c < n; ++c) std::swap(a(col, c), a(pivot, c));
       std::swap(b[col], b[pivot]);
@@ -141,13 +141,19 @@ std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
       b[r] -= f * b[col];
     }
   }
-  std::vector<double> x(n, 0.0);
+  // Back-substitute into b: b[c] already holds x[c] for every c > i.
   for (std::size_t i = n; i-- > 0;) {
     double s = b[i];
-    for (std::size_t c = i + 1; c < n; ++c) s -= a(i, c) * x[c];
-    x[i] = s / a(i, i);
+    for (std::size_t c = i + 1; c < n; ++c) s -= a(i, c) * b[c];
+    b[i] = s / a(i, i);
   }
-  return x;
+  return true;
+}
+
+std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
+  const bool solved = solve_linear_in_place(a, b);
+  VOPROF_REQUIRE_MSG(solved, "singular matrix in solve_linear");
+  return b;
 }
 
 std::vector<double> solve_least_squares(const Matrix& a,

@@ -52,17 +52,39 @@ double RunningStats::stddev() const noexcept {
   return std::sqrt(sample_variance());
 }
 
+namespace {
+
+/// Fractional rank percentile() interpolates at.
+double rank_position(std::size_t n, double q) noexcept {
+  return q / 100.0 * static_cast<double>(n - 1);
+}
+
+}  // namespace
+
 double percentile(std::span<const double> sample, double q) {
+  std::vector<double> copy(sample.begin(), sample.end());
+  return percentile_in_place(copy, q);
+}
+
+std::size_t percentile_rank(std::size_t n, double q) noexcept {
+  return static_cast<std::size_t>(rank_position(n, q));
+}
+
+double percentile_in_place(std::span<double> sample, double q) {
   VOPROF_REQUIRE_MSG(!sample.empty(), "percentile of empty sample");
   VOPROF_REQUIRE(q >= 0.0 && q <= 100.0);
-  std::vector<double> sorted(sample.begin(), sample.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q / 100.0 * static_cast<double>(sorted.size() - 1);
+  const std::size_t n = sample.size();
+  if (n == 1) return sample.front();
+  const double pos = rank_position(n, q);
   const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
+  // After nth_element, sample[lo] is the lo-th order statistic and the
+  // next one up is the smallest value of the tail behind it.
+  const auto lo_it = sample.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(sample.begin(), lo_it, sample.end());
+  const double lo_v = *lo_it;
+  const double hi_v =
+      lo + 1 < n ? *std::min_element(lo_it + 1, sample.end()) : lo_v;
+  return lo_v + (pos - static_cast<double>(lo)) * (hi_v - lo_v);
 }
 
 double mean(std::span<const double> sample) noexcept {

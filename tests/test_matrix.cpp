@@ -107,6 +107,26 @@ TEST(SolveLinear, SingularThrows) {
   EXPECT_THROW((void)solve_linear(a, {1.0, 2.0}), ContractViolation);
 }
 
+TEST(SolveLinear, InPlaceCoreReportsSingularWithoutThrowing) {
+  Matrix singular = {{1.0, 2.0}, {2.0, 4.0}};
+  std::vector<double> b = {1.0, 2.0};
+  bool solved = true;
+  EXPECT_NO_THROW(solved = solve_linear_in_place(singular, b));
+  EXPECT_FALSE(solved);
+
+  // On success the right-hand side becomes the solution, bit for bit
+  // what the throwing wrapper returns.
+  const Matrix a = {{2.0, 1.0, -1.0}, {-3.0, -1.0, 2.0}, {-2.0, 1.0, 2.0}};
+  const std::vector<double> rhs = {8.0, -11.0, -3.0};
+  Matrix work = a;
+  std::vector<double> x = rhs;
+  ASSERT_TRUE(solve_linear_in_place(work, x));
+  EXPECT_EQ(x, solve_linear(a, rhs));
+  EXPECT_NEAR(x[0], 2.0, 1e-10);
+  EXPECT_NEAR(x[1], 3.0, 1e-10);
+  EXPECT_NEAR(x[2], -1.0, 1e-10);
+}
+
 TEST(SolveLinear, NonSquareThrows) {
   Matrix a(2, 3);
   EXPECT_THROW((void)solve_linear(a, {1.0, 2.0}), ContractViolation);

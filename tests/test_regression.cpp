@@ -202,6 +202,147 @@ TEST(Residuals, ZeroForPerfectFit) {
   for (double r : residuals(f, d.x, d.y)) EXPECT_NEAR(r, 0.0, 1e-7);
 }
 
+// ------------------------------------------------------ pinned LMS fits
+// Coefficients of fit_lms recorded as hex floats from the sort-per-trial
+// implementation that preceded selection, early abandon and the
+// non-throwing elemental solve. Any change to which candidate wins, to
+// the residual arithmetic or to the RNG draw order moves at least one
+// of them; the search must stay bit-identical to that reference.
+
+/// Dense random design: four predictors, noise, 20 % gross outliers.
+SyntheticData make_dense(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  SyntheticData d{Matrix(n, 4), std::vector<double>(n)};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t c = 0; c < 4; ++c) d.x(i, c) = rng.uniform(0, 100);
+    d.y[i] = 5.0 + 1.1 * d.x(i, 0) - 0.4 * d.x(i, 1) + 0.02 * d.x(i, 3) +
+             rng.gaussian(0, 0.5);
+    if (rng.uniform() < 0.2) d.y[i] += rng.uniform(50, 200);
+  }
+  return d;
+}
+
+/// Table-II-shaped rows (cpu, mem, io, bw): each block of rows drives
+/// one resource through five levels while the others sit at exact idle
+/// values, so many elemental subsets are singular.
+SyntheticData make_table2(std::uint64_t seed) {
+  Rng rng(seed);
+  constexpr std::size_t kPerCell = 12;
+  SyntheticData d{Matrix(4 * 5 * kPerCell, 4),
+                  std::vector<double>(4 * 5 * kPerCell)};
+  std::size_t r = 0;
+  for (std::size_t kind = 0; kind < 4; ++kind) {
+    for (std::size_t level = 0; level < 5; ++level) {
+      const double lv = static_cast<double>(level + 1);
+      for (std::size_t s = 0; s < kPerCell; ++s, ++r) {
+        d.x(r, 0) = kind == 0 ? 20.0 * lv + rng.gaussian(0, 0.5) : 0.5;
+        d.x(r, 1) = kind == 1 ? 128.0 + 64.0 * lv : 128.0;
+        d.x(r, 2) = kind == 2 ? 15.0 * lv : 0.0;
+        d.x(r, 3) = kind == 3 ? 250.0 * lv : 0.0;
+        d.y[r] = 3.0 + 0.9 * d.x(r, 0) + 0.001 * d.x(r, 1) +
+                 0.05 * d.x(r, 2) + 0.002 * d.x(r, 3) +
+                 rng.gaussian(0, 0.2);
+      }
+    }
+  }
+  return d;
+}
+
+struct PinnedLms {
+  const char* name;
+  SyntheticData (*data)();
+  double quantile;
+  double inlier_sigma;  // 0 keeps the raw elemental winner (no refit)
+  std::uint64_t seed;
+  std::vector<double> coef;
+};
+
+SyntheticData dense_240() { return make_dense(240, 31); }
+SyntheticData dense_2p() { return make_dense(10, 32); }  // n == 2p
+SyntheticData table2_240() { return make_table2(33); }
+
+const std::vector<PinnedLms>& pinned_lms_cases() {
+  static const std::vector<PinnedLms> cases = {
+      {"dense_q50", dense_240, 0.5, 2.5, 7,
+       {0x1.2aa09ab576894p+2, 0x1.1a16114f4e304p+0,
+        -0x1.971967ef5567bp-2, 0x1.1e4c2abd4b793p-11,
+        0x1.4c58a3cb3d391p-6}},
+      {"dense_q85", dense_240, 0.85, 2.5, 7,
+       {0x1.ccc3c427a1388p+4, 0x1.1be9d66f89efcp+0,
+        -0x1.e8982b9ba5269p-2, -0x1.631532da3c8f4p-5,
+        0x1.82d5dc47494dfp-3}},
+      {"dense_q100", dense_240, 1.0, 2.5, 7,
+       {0x1.ccc3c427a1388p+4, 0x1.1be9d66f89efcp+0,
+        -0x1.e8982b9ba5269p-2, -0x1.631532da3c8f4p-5,
+        0x1.82d5dc47494dfp-3}},
+      {"dense_q50_raw", dense_240, 0.5, 0.0, 8,
+       {0x1.02a3a091a4d64p+2, 0x1.1aff869dc97c7p+0,
+        -0x1.920f4eca186a3p-2, 0x1.0cb23af21d219p-9,
+        0x1.7312930873968p-6}},
+      {"dense_q85_raw", dense_240, 0.85, 0.0, 8,
+       {0x1.1099e727aa737p+6, 0x1.f82145429acfdp-1,
+        -0x1.7b68e88c9ae1cp-2, -0x1.8611f7984eac2p-1,
+        0x1.f694919192d75p-3}},
+      {"dense_q100_raw", dense_240, 1.0, 0.0, 8,
+       {0x1.6d3117bce6304p+1, 0x1.3b6f2e71a978dp+0,
+        -0x1.7631c7ba810cp-1, -0x1.d944a0edb1782p-4,
+        0x1.36de1410b57cp+0}},
+      {"dense_2p_q50", dense_2p, 0.5, 2.5, 9,
+       {0x1.952fe6b95af9ap+2, 0x1.1670e4b3c43c9p+0,
+        -0x1.b04f44884e9f1p-2, -0x1.279cb9f52aaf4p-7,
+        0x1.33f0f81b4610cp-5}},
+      {"dense_2p_q85_raw", dense_2p, 0.85, 0.0, 9,
+       {0x1.df381d13b3d78p+6, -0x1.06de6e17644cp-2,
+        -0x1.1ee1c7cd6cfe7p-3, -0x1.c5144d06190acp+0,
+        0x1.13f025b5f5fecp+0}},
+      {"dense_2p_q100_raw", dense_2p, 1.0, 0.0, 9,
+       {0x1.7e9c5104decfep+6, 0x1.3a59807ea7cf7p-2,
+        -0x1.a425b67345181p+0, -0x1.10554ce1b0c3fp-1,
+        0x1.67ab0b199edfep+0}},
+      {"table2_q50", table2_240, 0.5, 2.5, 10,
+       {0x1.8cbf0322c6b67p+1, 0x1.cc7f9d638491ep-1,
+        0x1.5ee50b463339bp-11, 0x1.8a2e7368ba999p-5,
+        0x1.ff8c54f9beb4fp-10}},
+      {"table2_q85", table2_240, 0.85, 2.5, 10,
+       {0x1.8bf569d53ea6p+1, 0x1.cc9eee335955fp-1,
+        0x1.679db6f5db889p-11, 0x1.8910cf7f127edp-5,
+        0x1.fbc21c6ba97cfp-10}},
+      {"table2_q100", table2_240, 1.0, 2.5, 10,
+       {0x1.8bf569d53ea6p+1, 0x1.cc9eee335955fp-1,
+        0x1.679db6f5db889p-11, 0x1.8910cf7f127edp-5,
+        0x1.fbc21c6ba97cfp-10}},
+      {"table2_q50_raw", table2_240, 0.5, 0.0, 11,
+       {0x1.8dad68835090fp+1, 0x1.cbeb0604f17acp-1,
+        0x1.80a52c3d72333p-11, 0x1.82503f329d109p-5,
+        0x1.e6fda339688acp-10}},
+      {"table2_q85_raw", table2_240, 0.85, 0.0, 11,
+       {0x1.8dad68835090fp+1, 0x1.cbeb0604f17acp-1,
+        0x1.80a52c3d72333p-11, 0x1.82503f329d109p-5,
+        0x1.e6fda339688acp-10}},
+      {"table2_q100_raw", table2_240, 1.0, 0.0, 11,
+       {0x1.7c61133ac212dp+1, 0x1.cd18c8f403d73p-1,
+        0x1.7052069514c6p-10, 0x1.a3e6bd88d1ff2p-5,
+        0x1.06b39458e107p-9}},
+  };
+  return cases;
+}
+
+TEST(LmsPinned, CoefficientsMatchReference) {
+  for (const PinnedLms& c : pinned_lms_cases()) {
+    SCOPED_TRACE(c.name);
+    const SyntheticData d = c.data();
+    LmsConfig cfg;
+    cfg.quantile = c.quantile;
+    cfg.inlier_sigma = c.inlier_sigma;
+    Rng rng(c.seed);
+    const LinearFit f = fit_lms(d.x, d.y, rng, cfg);
+    ASSERT_EQ(f.coef.size(), c.coef.size());
+    for (std::size_t i = 0; i < c.coef.size(); ++i) {
+      EXPECT_EQ(f.coef[i], c.coef[i]) << "coef " << i;
+    }
+  }
+}
+
 /// Property sweep: R^2 decreases as noise grows.
 class NoiseSweep : public ::testing::TestWithParam<double> {};
 

@@ -61,6 +61,19 @@ TEST(TrainingSetCsv, RoundTripThroughText) {
               1e-9);
 }
 
+TEST(FitModels, SingleIsTheMultiModelBase) {
+  // fit_models fits the single-VM model once, as Eq. (3)'s base; it
+  // must serialize exactly like a direct fit on the one-VM rows.
+  const TrainingSet data = synthetic_data(4);
+  for (const RegressionMethod method :
+       {RegressionMethod::kOls, RegressionMethod::kLms}) {
+    const TrainedModels models = Trainer::fit_models(data, method, 77);
+    TrainedModels direct = models;
+    direct.single = SingleVmModel::fit(data.with_vm_count(1), method, 77);
+    EXPECT_EQ(models_to_string(models), models_to_string(direct));
+  }
+}
+
 TEST(TrainingSetCsv, MissingColumnRejected) {
   util::CsvDocument csv({"n_vms", "vm_cpu"});
   csv.add_row({1.0, 50.0});

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -91,6 +92,43 @@ TEST(Percentile, RejectsEmptyAndBadQ) {
   EXPECT_THROW((void)percentile({}, 50.0), ContractViolation);
   EXPECT_THROW((void)percentile(v, -1.0), ContractViolation);
   EXPECT_THROW((void)percentile(v, 101.0), ContractViolation);
+  std::vector<double> scratch = v;
+  EXPECT_THROW((void)percentile_in_place({}, 50.0), ContractViolation);
+  EXPECT_THROW((void)percentile_in_place(scratch, 101.0), ContractViolation);
+}
+
+TEST(Percentile, SelectionMatchesSortedReference) {
+  // Ties, repeated extremes and both signs: the selected order
+  // statistics (and their interpolation) must equal the sorted ones.
+  const std::vector<std::vector<double>> samples = {
+      {3.0},
+      {2.0, 2.0},
+      {1.0, 5.0, 5.0, 5.0, 0.0, 5.0, 1.0},
+      {-4.0, 7.5, 7.5, -4.0, 0.0, 0.0, 12.25, 7.5, -4.0, 3.0, 3.0},
+      {9.0, 8.0, 7.0, 6.0, 5.0, 4.0, 3.0, 2.0, 1.0, 0.0, 0.0, 1.0},
+  };
+  for (const std::vector<double>& v : samples) {
+    std::vector<double> sorted = v;
+    std::sort(sorted.begin(), sorted.end());
+    for (const double q : {0.0, 50.0, 85.0, 100.0}) {
+      const double pos = q / 100.0 * static_cast<double>(sorted.size() - 1);
+      const auto lo = static_cast<std::size_t>(pos);
+      const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+      const double want =
+          sorted.size() == 1
+              ? sorted.front()
+              : sorted[lo] + (pos - static_cast<double>(lo)) *
+                                 (sorted[hi] - sorted[lo]);
+      std::vector<double> scratch = v;
+      EXPECT_EQ(percentile_in_place(scratch, q), want)
+          << "n=" << v.size() << " q=" << q;
+      EXPECT_EQ(percentile(v, q), want) << "n=" << v.size() << " q=" << q;
+      EXPECT_EQ(percentile_rank(v.size(), q), lo);
+      // Selection only reorders.
+      std::sort(scratch.begin(), scratch.end());
+      EXPECT_EQ(scratch, sorted);
+    }
+  }
 }
 
 TEST(MeanStddev, BasicValues) {

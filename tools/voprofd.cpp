@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
                    "  [--max-deadline-ms MS] [--train-duration SEC]\n"
                    "  [--seed N] [--inner-jobs N] [--metrics-out FILE]\n"
                    "  [--trace-out FILE] [--enable-test-ops]\n";
-      return 2;
+      return 0;
     }
   }
   const util::Result<util::CliArgs> parsed =
