@@ -256,6 +256,10 @@ void parse_cli_or_exit(int argc, const char* const* argv,
     std::fprintf(stderr, "%s\n%s", e.what(), line.c_str());
     std::exit(2);
   }
+  // Honour VOPROF_TRACE before the measured work, not when the bench
+  // first records a section. A --trace FILE the parser enabled wins.
+  auto& collector = obs::TraceCollector::global();
+  if (!collector.enabled()) collector.init_from_env();
 }
 
 Session& Session::global() {

@@ -145,7 +145,9 @@ class Session {
 /// prints "usage: <argv[0]> <usage>" and exits 0. Otherwise `parse`
 /// runs; a util::ContractViolation from it (unknown flag, missing or
 /// malformed value) prints the error plus the usage line to stderr and
-/// exits 2 instead of aborting the process.
+/// exits 2 instead of aborting the process. After a successful parse
+/// it enables VOPROF_TRACE (unless `parse` already enabled a trace),
+/// so the trace covers everything the bench then runs.
 void parse_cli_or_exit(int argc, const char* const* argv,
                        const std::string& usage,
                        const std::function<void()>& parse);

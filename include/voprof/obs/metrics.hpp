@@ -5,20 +5,27 @@
 /// TaskPool and the sweep runner register into. The paper's method is
 /// concurrent observation — knowing what every layer was doing while
 /// the numbers moved — and this registry is the simulator-internal
-/// analogue: cheap enough to leave on, inspectable on demand.
+/// analogue: inspectable on demand, and cheap enough to leave on
+/// because the hot writers never share a cache line.
 ///
 /// Concurrency contract: registration (Registry::counter & friends)
 /// takes a mutex and returns a reference that stays valid for the
 /// process lifetime; the write paths (Counter::add, Gauge::set,
 /// Histogram::observe) are lock-free relaxed atomics, safe from any
-/// thread. Snapshots are taken on demand and are only guaranteed to be
-/// exact once concurrent writers have quiesced (e.g. after a TaskPool
-/// join) — the reader never blocks a writer either way.
+/// thread. Counter::add goes to the calling thread's shard (see
+/// Counter), so parallel workers bumping the same counter on every
+/// simulated tick do not contend; Gauge and Histogram are one shared
+/// atomic each and have no per-tick writers. Reads (value(),
+/// snapshots) sum the shards and are only guaranteed to be exact once
+/// concurrent writers have quiesced (e.g. after a TaskPool join);
+/// while writers run, successive reads of one counter never decrease.
+/// The reader never blocks a writer either way.
 ///
 /// Zero-cost when disabled: building with -DVOPROF_OBS=OFF compiles
 /// every write path to nothing (kObsCompiled folds to false below), so
 /// the hot loops carry no atomics at all.
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -36,23 +43,60 @@ inline constexpr bool kObsCompiled = true;
 inline constexpr bool kObsCompiled = false;
 #endif
 
+namespace detail {
+/// Backing store of thread_id(); 0 until the thread first asks.
+inline thread_local std::uint64_t t_thread_id = 0;
+/// Slow path of thread_id(): hand the calling thread the next id.
+std::uint64_t assign_thread_id() noexcept;
+}  // namespace detail
+
+/// Stable per-thread id: the calling thread's registration order,
+/// starting at 1 (the main thread is whoever asks first). The one
+/// per-thread registration in obs — it names wall-clock trace tracks
+/// and picks each thread's Counter shard. After the first call it is
+/// one thread-local read.
+[[nodiscard]] inline std::uint64_t thread_id() noexcept {
+  const std::uint64_t id = detail::t_thread_id;
+  return id != 0 ? id : detail::assign_thread_id();
+}
+
 /// Monotonic event count (events fired, samples taken, cells run...).
+///
+/// Sharded per thread: add() bumps the calling thread's cache-line
+/// slot (thread_id() round-robin over kShards), and value()/reset()
+/// sum/zero every slot. Threads beyond kShards share a slot through
+/// the atomic add, which stays exact and is merely contended. Cost:
+/// kShards cache lines (1 KiB) per registered counter.
 class Counter {
  public:
+  static constexpr std::size_t kShards = 16;
+
   void add(std::uint64_t n = 1) noexcept {
     if constexpr (kObsCompiled) {
-      value_.fetch_add(n, std::memory_order_relaxed);
+      shards_[thread_id() % kShards].value.fetch_add(
+          n, std::memory_order_relaxed);
     } else {
       (void)n;
     }
   }
   [[nodiscard]] std::uint64_t value() const noexcept {
-    return value_.load(std::memory_order_relaxed);
+    std::uint64_t sum = 0;
+    for (const Shard& s : shards_) {
+      sum += s.value.load(std::memory_order_relaxed);
+    }
+    return sum;
   }
-  void reset() noexcept { value_.store(0, std::memory_order_relaxed); }
+  void reset() noexcept {
+    for (Shard& s : shards_) {
+      s.value.store(0, std::memory_order_relaxed);
+    }
+  }
 
  private:
-  std::atomic<std::uint64_t> value_{0};
+  struct alignas(64) Shard {
+    std::atomic<std::uint64_t> value{0};
+  };
+  std::array<Shard, kShards> shards_{};
 };
 
 /// Last-written (or high-water) double value.

@@ -66,7 +66,7 @@ struct TraceRecord {
   std::string name;
   std::int64_t ts_us = 0;
   std::int64_t dur_us = 0;  ///< 'X' only
-  std::uint64_t tid = 0;    ///< worker index (wall) or domain/PM id (sim)
+  std::uint64_t tid = 0;    ///< obs::thread_id() (wall) or domain/PM id (sim)
   std::vector<std::pair<std::string, double>> args;
   std::vector<std::pair<std::string, std::string>> sargs;
 };
@@ -109,11 +109,6 @@ class TraceCollector {
 
   /// Microseconds since enable() on the wall clock (0 when disabled).
   [[nodiscard]] std::int64_t wall_now_us() const noexcept;
-
-  /// Stable per-thread id for wall-clock tracks: the calling thread's
-  /// registration order starting at 1 (main thread is whoever asks
-  /// first). Cached in a thread_local so the hot path is a read.
-  [[nodiscard]] static std::uint64_t current_tid();
 
   /// Buffer one event. Safe from any thread; no-op when disabled.
   void record(TraceRecord rec);

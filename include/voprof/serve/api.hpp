@@ -46,6 +46,7 @@ enum class Op {
   kTrain,
   kStatus,
   kDrain,
+  kMetrics,
   kSleep,
 };
 

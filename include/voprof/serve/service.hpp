@@ -23,9 +23,9 @@
 ///    rejected with `shutting_down`, everything already admitted runs
 ///    to completion, and wait_idle() blocks until the last response
 ///    has been produced. This is the SIGTERM path of voprofd.
-///  * Control ops (`status`, `drain`) bypass the queue and execute
-///    inline on the submitting thread: they stay responsive while the
-///    workers are saturated, and they do not appear in the
+///  * Control ops (`status`, `drain`, `metrics`) bypass the queue and
+///    execute inline on the submitting thread: they stay responsive
+///    while the workers are saturated, and they do not appear in the
 ///    accepted/completed counters.
 ///
 /// The responder callback is invoked exactly once per request: on the
@@ -61,6 +61,12 @@ namespace voprof::serve {
 /// per-entity aggregate stats). Same sharing contract as above.
 [[nodiscard]] util::Json simulate_result_json(
     const scenario::ReplicatedScenarioResult& result);
+
+/// The voprof-metrics-1 document: `{"schema", "metrics"}` with every
+/// obs registry metric by name (counters and gauges as numbers,
+/// histograms as `{count, mean}`). The one serializer behind both the
+/// `metrics` op and voprofd's `--metrics-out` snapshot.
+[[nodiscard]] util::Json metrics_json();
 
 /// Tunables of one Service instance. The defaults suit an interactive
 /// daemon; tests shrink capacity/jobs to force the edge cases.

@@ -5,7 +5,8 @@ Drives a real daemon over its Unix socket and asserts the behaviour the
 serving layer promises (docs/SERVING.md):
 
   * every response line parses against the voprof-api-1 envelope;
-  * `status` stays responsive while the workers are saturated;
+  * `status` and `metrics` stay responsive while the workers are
+    saturated;
   * requests beyond --queue-capacity are rejected immediately with a
     structured `overloaded` error -- admission never blocks;
   * an expired deadline yields `timed_out`;
@@ -180,6 +181,11 @@ def smoke_overload(sock_path):
           "status counts the overload rejections")
     check(status["result"]["in_flight"] >= 1,
           "status sees the admitted work in flight")
+    metrics = c2.roundtrip(req("m1", "metrics"))
+    check(metrics["ok"]
+          and metrics["result"].get("schema") == "voprof-metrics-1"
+          and "serve.rejected_overloaded" in metrics["result"]["metrics"],
+          "metrics returns the live registry under saturation")
     c2.close()
 
     admitted = c.collect(["s1", "s2"])

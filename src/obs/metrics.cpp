@@ -7,6 +7,12 @@
 
 namespace voprof::obs {
 
+std::uint64_t detail::assign_thread_id() noexcept {
+  static std::atomic<std::uint64_t> next_id{1};
+  t_thread_id = next_id.fetch_add(1, std::memory_order_relaxed);
+  return t_thread_id;
+}
+
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)) {
   VOPROF_REQUIRE_MSG(!bounds_.empty(),

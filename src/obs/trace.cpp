@@ -127,15 +127,6 @@ std::int64_t TraceCollector::wall_now_us() const noexcept {
   return steady_us() - epoch_us_;
 }
 
-std::uint64_t TraceCollector::current_tid() {
-  static std::atomic<std::uint64_t> next_tid{1};
-  thread_local std::uint64_t tid = 0;
-  if (tid == 0) {
-    tid = next_tid.fetch_add(1, std::memory_order_relaxed);
-  }
-  return tid;
-}
-
 void TraceCollector::record(TraceRecord rec) {
   if (!enabled()) {
     return;
@@ -157,7 +148,7 @@ void TraceCollector::complete_wall(
   rec.name = std::move(name);
   rec.ts_us = ts_us;
   rec.dur_us = dur_us;
-  rec.tid = current_tid();
+  rec.tid = thread_id();
   rec.args = std::move(args);
   record(std::move(rec));
 }

@@ -14,6 +14,8 @@ const char* op_name(Op op) noexcept {
       return "status";
     case Op::kDrain:
       return "drain";
+    case Op::kMetrics:
+      return "metrics";
     case Op::kSleep:
       return "sleep";
   }
@@ -22,7 +24,7 @@ const char* op_name(Op op) noexcept {
 
 util::Result<Op> op_from_name(const std::string& name) {
   for (Op op : {Op::kPredict, Op::kSimulate, Op::kTrain, Op::kStatus,
-                Op::kDrain, Op::kSleep}) {
+                Op::kDrain, Op::kMetrics, Op::kSleep}) {
     if (name == op_name(op)) return op;
   }
   return util::Error{util::Errc::kValidation, "unknown op: '" + name + "'",

@@ -11,9 +11,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include "voprof/obs/metrics.hpp"
 #include "voprof/obs/trace.hpp"
-#include "voprof/util/json.hpp"
 
 namespace voprof::serve {
 
@@ -325,24 +323,9 @@ void Daemon::flush_conn(Conn& conn) {
 
 void Daemon::final_flush() {
   if (!config_.metrics_out.empty()) {
-    const obs::Registry::Snapshot snap = obs::Registry::global().snapshot();
-    util::Json metrics = util::Json::object();
-    for (const auto& e : snap.entries) {
-      if (e.kind == "histogram") {
-        util::Json h = util::Json::object();
-        h.set("count", static_cast<double>(e.hist.count));
-        h.set("mean", e.hist.mean());
-        metrics.set(e.name, std::move(h));
-      } else {
-        metrics.set(e.name, e.value);
-      }
-    }
-    util::Json doc = util::Json::object();
-    doc.set("schema", "voprof-metrics-1");
-    doc.set("metrics", std::move(metrics));
     std::ofstream out(config_.metrics_out);
     if (out.good()) {
-      out << doc.dump(2) << '\n';
+      out << metrics_json().dump(2) << '\n';
     } else {
       std::cerr << "voprofd: cannot write metrics to "
                 << config_.metrics_out << '\n';

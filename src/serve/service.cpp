@@ -193,6 +193,25 @@ util::Json simulate_result_json(
   return result_j;
 }
 
+util::Json metrics_json() {
+  const obs::Registry::Snapshot snap = obs::Registry::global().snapshot();
+  util::Json metrics = util::Json::object();
+  for (const auto& e : snap.entries) {
+    if (e.kind == "histogram") {
+      util::Json h = util::Json::object();
+      h.set("count", static_cast<double>(e.hist.count));
+      h.set("mean", e.hist.mean());
+      metrics.set(e.name, std::move(h));
+    } else {
+      metrics.set(e.name, e.value);
+    }
+  }
+  util::Json doc = util::Json::object();
+  doc.set("schema", "voprof-metrics-1");
+  doc.set("metrics", std::move(metrics));
+  return doc;
+}
+
 Service::Service(ServiceConfig config)
     : config_(config),
       pool_(config.jobs <= 0 ? 0 : static_cast<std::size_t>(config.jobs),
@@ -218,7 +237,8 @@ void Service::submit_line(const std::string& line, Responder done) {
 void Service::submit(Request req, Responder done) {
   // Control ops stay out of the queue so the daemon remains
   // observable and stoppable while the workers are saturated.
-  if (req.op == Op::kStatus || req.op == Op::kDrain) {
+  if (req.op == Op::kStatus || req.op == Op::kDrain ||
+      req.op == Op::kMetrics) {
     m_control().add();
     done(run_control(req));
     return;
@@ -366,6 +386,7 @@ std::string Service::run_control(const Request& req) {
     result.set("in_flight", static_cast<double>(in_flight()));
     return ok_response(req.id, std::move(result));
   }
+  if (req.op == Op::kMetrics) return ok_response(req.id, metrics_json());
   return ok_response(req.id, status_json());
 }
 
@@ -381,6 +402,7 @@ util::Json Service::dispatch(const Request& req, std::int64_t expires_us) {
       return op_sleep(req.params, expires_us);
     case Op::kStatus:
     case Op::kDrain:
+    case Op::kMetrics:
       break;  // handled inline by submit(); unreachable here
   }
   fail(ApiError::kInternal,

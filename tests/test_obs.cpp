@@ -1,16 +1,20 @@
 // Observability layer: metric registry semantics, lock-free writer
-// correctness under a real TaskPool fan-out (the TSan job runs this
-// binary via `ctest -L concurrency`), and the Chrome-trace exporter —
+// correctness under a real TaskPool fan-out and on more threads than
+// a Counter has shards (the TSan job runs this binary via
+// `ctest -L concurrency`), and the Chrome-trace exporter —
 // whose output must round-trip through util::Json and carry the
 // voprof-trace-1 schema the trace tooling validates.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "voprof/obs/metrics.hpp"
@@ -167,6 +171,125 @@ TEST(MetricsConcurrency, CountersExactUnderParallelWriters) {
   const double expected_sum =
       static_cast<double>(kTasks) * (kPerTask - 1) * kPerTask / 2.0;
   EXPECT_DOUBLE_EQ(s.sum, expected_sum);
+}
+
+/// Run `body(i)` for every i in [0, n) on n distinct threads at once:
+/// each task waits at a rendezvous until all n have started, so no
+/// pool worker runs two of them. Fresh workers take fresh
+/// obs::thread_id()s, so with n > Counter::kShards threads must share
+/// shards.
+template <typename Body>
+void run_on_distinct_threads(std::size_t n, Body body) {
+  util::TaskPool pool(n, util::TaskPool::Threading::kAlwaysThreaded);
+  std::atomic<std::size_t> arrived{0};
+  pool.parallel_for_each(n, [&](std::size_t i) {
+    arrived.fetch_add(1, std::memory_order_acq_rel);
+    while (arrived.load(std::memory_order_acquire) < n) {
+      std::this_thread::yield();
+    }
+    body(i);
+  });
+}
+
+// Threads beyond the shard count share a slot through the atomic add;
+// the total is still exact once they join.
+TEST(MetricsConcurrency, CounterExactWithMoreThreadsThanShards) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+  obs::Counter counter;
+  // One thread more than there are shards: at least two share a slot.
+  constexpr std::size_t kThreads = obs::Counter::kShards + 1;
+  constexpr std::uint64_t kLight = 1000;
+  constexpr std::uint64_t kHeavy = 1000000;
+  std::vector<std::uint64_t> ids(kThreads);
+  std::atomic<std::size_t> named{0};
+  std::atomic<std::uint64_t> expected{0};
+  run_on_distinct_threads(kThreads, [&](std::size_t t) {
+    ids[t] = obs::thread_id();
+    named.fetch_add(1, std::memory_order_acq_rel);
+    while (named.load(std::memory_order_acquire) < kThreads) {
+      std::this_thread::yield();
+    }
+    // The threads that share a shard hammer it together while the
+    // others finish quickly, so the shared slot sees concurrent adds.
+    const std::uint64_t shard = ids[t] % obs::Counter::kShards;
+    const auto sharers = std::count_if(
+        ids.begin(), ids.end(), [shard](std::uint64_t id) {
+          return id % obs::Counter::kShards == shard;
+        });
+    const std::uint64_t n = sharers > 1 ? kHeavy : kLight;
+    for (std::uint64_t i = 0; i < n; ++i) counter.add();
+    expected.fetch_add(n, std::memory_order_relaxed);
+    EXPECT_EQ(obs::thread_id(), ids[t]);  // stable for the thread's life
+  });
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(std::adjacent_find(ids.begin(), ids.end()), ids.end())
+      << "every thread gets its own id";
+  EXPECT_GE(expected.load(), 2 * kHeavy) << "no two threads shared a shard";
+  EXPECT_EQ(counter.value(), expected.load());
+}
+
+// value() sums the shards while writers run; every shard only grows,
+// so two successive reads never go backwards.
+TEST(MetricsConcurrency, CounterValueNeverDecreasesWhileWritersRun) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+  obs::Counter counter;
+  constexpr std::size_t kWriters = 4;
+  constexpr std::uint64_t kPerWriter = 200000;
+  std::atomic<std::size_t> done{0};
+  std::uint64_t reads = 0;
+  std::uint64_t decreases = 0;
+  run_on_distinct_threads(kWriters + 1, [&](std::size_t t) {
+    if (t < kWriters) {
+      for (std::uint64_t i = 0; i < kPerWriter; ++i) counter.add();
+      done.fetch_add(1, std::memory_order_release);
+      return;
+    }
+    std::uint64_t last = 0;
+    while (done.load(std::memory_order_acquire) < kWriters) {
+      const std::uint64_t now = counter.value();
+      if (now < last) ++decreases;
+      last = now;
+      ++reads;
+    }
+  });
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(decreases, 0u);
+  EXPECT_EQ(counter.value(), kWriters * kPerWriter);
+}
+
+// reset_all() zeroes every shard, so writes after it count from zero
+// in value() and in the registry snapshot alike.
+TEST(MetricsConcurrency, ResetAllThenParallelWritesAreExact) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+  auto& registry = obs::Registry::global();
+  auto& counter = registry.counter("test_obs.reset_counter");
+  constexpr std::size_t kThreads = 6;
+  constexpr std::uint64_t kPerThread = 5000;
+  const auto write = [&counter](std::size_t) {
+    for (std::uint64_t i = 0; i < kPerThread; ++i) counter.add();
+  };
+  const auto snapshot_value = [&registry] {
+    for (const auto& e : registry.snapshot().entries) {
+      if (e.name == "test_obs.reset_counter") return e.value;
+    }
+    return -1.0;
+  };
+
+  run_on_distinct_threads(kThreads, write);
+  EXPECT_GE(counter.value(), kThreads * kPerThread);
+  registry.reset_all();
+  EXPECT_EQ(counter.value(), 0u);
+  EXPECT_EQ(snapshot_value(), 0.0);
+
+  run_on_distinct_threads(kThreads, write);
+  EXPECT_EQ(counter.value(), kThreads * kPerThread);
+  EXPECT_EQ(snapshot_value(), static_cast<double>(kThreads * kPerThread));
 }
 
 TEST(Trace, DisabledCollectorRecordsNothing) {

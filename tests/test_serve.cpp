@@ -78,7 +78,7 @@ TEST(Api, ResponsesCarryVersionIdAndShape) {
 
 TEST(Api, OpNamesRoundTrip) {
   for (const Op op : {Op::kPredict, Op::kSimulate, Op::kTrain, Op::kStatus,
-                      Op::kDrain, Op::kSleep}) {
+                      Op::kDrain, Op::kMetrics, Op::kSleep}) {
     const auto back = op_from_name(op_name(op));
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(back.value(), op);
@@ -279,6 +279,43 @@ TEST(Service, ConcurrentPredictionsMatchLibraryByteForByte) {
   for (const std::string& line : responses) {
     EXPECT_EQ(line, expected);
   }
+}
+
+TEST(Service, MetricsOpReportsTheRegistryWhileSaturated) {
+  Service service(test_config());  // 1 worker, 2 admission slots
+  constexpr int kPredicts = 3;
+  for (int i = 0; i < kPredicts; ++i) {
+    ASSERT_EQ(error_code_of(service.handle_line(
+                  R"({"op":"predict","params":)"
+                  R"({"cpu":40,"mem":512,"io":100,"bw":2000,"vms":1}})")),
+              "");
+  }
+  // Saturate: one sleep running, one queued.
+  Sink sink;
+  service.submit_line(R"({"op":"sleep","params":{"ms":300}})",
+                      sink.responder());
+  service.submit_line(R"({"op":"sleep","params":{"ms":300}})",
+                      sink.responder());
+
+  // `metrics` bypasses the full queue and answers on this thread.
+  const std::int64_t t0 = obs::monotonic_us();
+  const util::Json doc =
+      util::Json::parse(service.handle_line(R"({"op":"metrics","id":"m"})"));
+  EXPECT_LT(obs::monotonic_us() - t0, 250000);
+  ASSERT_TRUE(doc.at("ok").as_bool());
+  EXPECT_EQ(doc.at("id").as_string(), "m");
+  const util::Json& result = doc.at("result");
+  EXPECT_EQ(result.at("schema").as_string(), "voprof-metrics-1");
+  const util::Json& metrics = result.at("metrics");
+  ASSERT_NE(metrics.find("serve.completed"), nullptr);
+  if (obs::kObsCompiled) {
+    EXPECT_GE(metrics.at("serve.completed").as_number(),
+              static_cast<double>(kPredicts));
+  }
+
+  service.begin_drain();
+  service.wait_idle();
+  EXPECT_EQ(sink.take().size(), 2u);
 }
 
 // -------------------------------------------------------------- daemon

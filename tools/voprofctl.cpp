@@ -58,7 +58,7 @@ namespace {
 
 using namespace voprof;
 
-int usage() {
+void print_usage() {
   std::cout <<
       "usage: voprofctl <command> [flags]\n"
       "commands:\n"
@@ -105,9 +105,26 @@ int usage() {
       "                                       per-span aggregates as CSV\n"
       "  version       print the build identity (compiler, flags,\n"
       "                  git describe, observability state)\n"
+      "  help          print this text (so do --help and -h, also\n"
+      "                  after a command)\n"
       "every command also accepts --trace-out FILE (observability\n"
       "trace; VOPROF_TRACE=FILE works too)\n";
+}
+
+/// Usage for a malformed command line: exit code 2.
+int usage() {
+  print_usage();
   return 2;
+}
+
+/// `help`, or `--help`/`-h` anywhere on the command line.
+bool wants_help(int argc, char** argv) {
+  if (argc >= 2 && std::string(argv[1]) == "help") return true;
+  for (int i = 1; i < argc; ++i) {
+    const std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") return true;
+  }
+  return false;
 }
 
 model::RegressionMethod parse_method(const std::string& name) {
@@ -553,6 +570,10 @@ int dispatch(const std::string& cmd, const util::CliArgs& args) {
 int main(int argc, char** argv) {
   try {
     if (argc < 2) return usage();
+    if (wants_help(argc, argv)) {
+      print_usage();
+      return 0;
+    }
     const std::string cmd = argv[1];
     if (cmd == "version") return cmd_version();
     // `trace` takes a subcommand word plus a positional file, which
