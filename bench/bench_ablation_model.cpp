@@ -164,7 +164,8 @@ model::MultiVmModel without_alpha_term(const model::TrainedModels& full) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   std::cout << "=== Ablation: Sec. V modeling choices ===\n\n";
 
   std::cout << "Training both estimators on the identical Table II sweep "

@@ -46,7 +46,8 @@ mon::UtilSample measure_vm(bool inject, std::uint64_t seed) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   std::cout << "=== Ablation: monitoring self-overhead (Table I "
                "motivation) ===\n\n";
 

@@ -47,7 +47,8 @@ CpuPoint measure(sim::SchedulerMode mode, int n_vms, double load,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   std::cout << "=== Ablation: macro (closed-form) vs micro (discrete Xen "
                "credit) scheduler ===\n\n";
 

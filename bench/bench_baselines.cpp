@@ -36,7 +36,8 @@ void accumulate(Errors& e, const model::TrainedModels& models,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   std::cout << "=== Baseline comparison: PM-CPU prediction error ===\n\n"
                "  paper model : Eq. (1)-(3), LMS, indirect PM CPU "
                "(Sec. V-VI)\n"

@@ -49,7 +49,8 @@ ErrPair evaluate_mix(const model::HeteroTrainer& htrainer,
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   std::cout
       << "=== Extension: heterogeneous-VM overhead model (paper future "
          "work, Sec. VII) ===\n\n"

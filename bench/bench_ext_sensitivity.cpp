@@ -72,7 +72,8 @@ Headline measure(const sim::CostModel& costs) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   std::cout << "=== Extension: calibration sensitivity of the reproduced "
                "headlines ===\n\n"
                "Each row perturbs ONE cost-model constant by the given "

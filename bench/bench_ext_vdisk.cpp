@@ -12,7 +12,8 @@
 #include "common.hpp"
 #include "voprof/xensim/vdisk.hpp"
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   using namespace voprof;
   std::cout << "=== Extension: virtual-disk striping geometry what-if "
                "===\n\n"

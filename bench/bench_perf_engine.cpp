@@ -142,7 +142,8 @@ void bench_snapshot(Session& session) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   Session& session = Session::global();
   for (const int n : {1, 2, 4, 8, 16}) bench_engine_tick(session, n);
   bench_mixed_workloads(session);

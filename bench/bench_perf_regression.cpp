@@ -143,7 +143,8 @@ void bench_predict(Session& session) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   Session& session = Session::global();
   bench_fit_ols(session, 64, 400);
   bench_fit_ols(session, 1024, 50);

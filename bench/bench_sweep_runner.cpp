@@ -13,40 +13,33 @@
 
 #include <chrono>
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "harness.hpp"
 #include "voprof/runner/runner.hpp"
-#include "voprof/util/assert.hpp"
 #include "voprof/util/cli.hpp"
 
 int main(int argc, char** argv) {
   using namespace voprof;
   namespace harness = voprof::bench::harness;
 
-  runner::RunOptions opts;
+  using Kind = util::FlagSpec::Kind;
+  const tools::CommandLine cl = harness::command_line(
+      argv[0], "[--jobs N] [--out FILE] [--duration SEC] [--seed S]",
+      {runner::jobs_flag(), {"out"}, {"duration", Kind::kNumber},
+       {"seed", Kind::kInteger}});
+  const util::CliArgs args =
+      cl.parse_or_exit(std::vector<std::string>(argv + 1, argv + argc));
+  util::Result<runner::RunOptions> opts = runner::options_from_cli(args);
+  if (!opts.ok()) cl.fail(opts.error().message);
   runner::MicroSweepConfig config;
-  std::string out_path;
-  harness::parse_cli_or_exit(
-      argc, argv, "[--jobs N] [--out FILE] [--duration SEC] [--seed S]",
-      [&] {
-        const util::CliArgs args = util::CliArgs::parse(argc, argv);
-        VOPROF_REQUIRE_MSG(args.command().empty(),
-                           "unexpected positional argument: " +
-                               args.command());
-        for (const std::string& name : args.flag_names()) {
-          VOPROF_REQUIRE_MSG(name == "jobs" || name == "out" ||
-                                 name == "duration" || name == "seed",
-                             "unknown flag --" + name);
-        }
-        opts.jobs = args.get_int("jobs", 0);
-        config.duration = util::seconds(args.get_double("duration", 30.0));
-        config.base_seed =
-            static_cast<std::uint64_t>(args.get_int("seed", 42));
-        out_path = args.get_or("out", "");
-      });
+  config.duration = util::seconds(args.get_double("duration", 30.0));
+  config.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
+  const std::string out_path = args.get_or("out", "");
 
   const auto t0 = std::chrono::steady_clock::now();
-  const util::CsvDocument csv = runner::run_micro_sweep(config, opts);
+  const util::CsvDocument csv = runner::run_micro_sweep(config, opts.value());
   harness::Session::global().record_section(
       "micro_sweep",
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

@@ -35,7 +35,8 @@ std::string cell(const Tool& tool, EntityClass entity, Metric metric) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  voprof::bench::harness::parse_cli_or_exit(argc, argv);
   std::cout << "=== Reproduction of Table I: features of measurement "
                "tools ===\n\n";
 

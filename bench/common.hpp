@@ -22,14 +22,15 @@
 
 namespace voprof::bench {
 
-/// runner::options_from_cli (`--jobs N`, `--trace FILE`) behind the
-/// benches' shared --help / bad-flag exit (harness::parse_cli_or_exit).
+/// The figure/table benches' command line: `--jobs N` (read by
+/// runner::options_from_cli) plus the harness's shared flags.
 inline runner::RunOptions cli_options(int argc, const char* const* argv) {
-  runner::RunOptions opts;
-  harness::parse_cli_or_exit(argc, argv, "[--jobs N] [--trace FILE]", [&] {
-    opts = runner::options_from_cli(argc, argv);
-  });
-  return opts;
+  const tools::CommandLine cl =
+      harness::command_line(argv[0], "[--jobs N]", {runner::jobs_flag()});
+  util::Result<runner::RunOptions> opts = runner::options_from_cli(
+      cl.parse_or_exit(std::vector<std::string>(argv + 1, argv + argc)));
+  if (!opts.ok()) cl.fail(opts.error().message);
+  return std::move(opts).take();
 }
 
 /// Mean utilizations of one measured cell.

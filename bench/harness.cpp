@@ -124,11 +124,7 @@ EnvInfo capture_env() {
 }
 
 Session::Session(std::string binary_name)
-    : binary_name_(std::move(binary_name)), env_(capture_env()) {
-  // Honour VOPROF_TRACE so any bench binary can emit a Chrome trace of
-  // its reps without per-binary wiring.
-  obs::TraceCollector::global().init_from_env();
-}
+    : binary_name_(std::move(binary_name)), env_(capture_env()) {}
 
 Session::~Session() {
   if (auto_write_ && dirty_) write_file();
@@ -237,29 +233,18 @@ void Session::write_file() {
   dirty_ = false;
 }
 
-void parse_cli_or_exit(int argc, const char* const* argv,
-                       const std::string& usage,
-                       const std::function<void()>& parse) {
-  const std::string line = std::string("usage: ") +
-                           (argc > 0 ? argv[0] : "bench") + ' ' + usage +
-                           '\n';
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") {
-      std::fputs(line.c_str(), stdout);
-      std::exit(0);
-    }
-  }
-  try {
-    parse();
-  } catch (const util::ContractViolation& e) {
-    std::fprintf(stderr, "%s\n%s", e.what(), line.c_str());
-    std::exit(2);
-  }
-  // Honour VOPROF_TRACE before the measured work, not when the bench
-  // first records a section. A --trace FILE the parser enabled wins.
-  auto& collector = obs::TraceCollector::global();
-  if (!collector.enabled()) collector.init_from_env();
+tools::CommandLine command_line(const char* argv0,
+                                const std::string& synopsis,
+                                std::vector<util::FlagSpec> flags) {
+  flags.push_back({"trace-out"});
+  std::string usage = std::string("usage: ") + argv0 + ' ';
+  if (!synopsis.empty()) usage += synopsis + ' ';
+  return {argv0, usage + "[--trace-out FILE]\n", std::move(flags), 0};
+}
+
+void parse_cli_or_exit(int argc, const char* const* argv) {
+  (void)command_line(argv[0]).parse_or_exit(
+      std::vector<std::string>(argv + 1, argv + argc));
 }
 
 Session& Session::global() {

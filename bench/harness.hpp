@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include "command_line.hpp"
+#include "voprof/util/cli.hpp"
 #include "voprof/util/json.hpp"
 
 namespace voprof::bench::harness {
@@ -141,15 +143,15 @@ class Session {
   bool dirty_ = false;
 };
 
-/// The benches' one command-line exit path. `--help` or `-h` anywhere
-/// prints "usage: <argv[0]> <usage>" and exits 0. Otherwise `parse`
-/// runs; a util::ContractViolation from it (unknown flag, missing or
-/// malformed value) prints the error plus the usage line to stderr and
-/// exits 2 instead of aborting the process. After a successful parse
-/// it enables VOPROF_TRACE (unless `parse` already enabled a trace),
-/// so the trace covers everything the bench then runs.
-void parse_cli_or_exit(int argc, const char* const* argv,
-                       const std::string& usage,
-                       const std::function<void()>& parse);
+/// A bench's command line: `flags` plus the shared --trace-out FILE,
+/// no operands, usage "usage: <argv0> <synopsis> [--trace-out FILE]".
+[[nodiscard]] tools::CommandLine command_line(
+    const char* argv0, const std::string& synopsis = "",
+    std::vector<util::FlagSpec> flags = {});
+
+/// The command line of a bench with no flags of its own: --help exits
+/// 0, anything but --trace-out FILE exits 2, and --trace-out or
+/// VOPROF_TRACE is enabled before the bench measures anything.
+void parse_cli_or_exit(int argc, const char* const* argv);
 
 }  // namespace voprof::bench::harness

@@ -22,7 +22,9 @@ namespace voprof::model {
 /// pm_{cpu,mem,io,bw}, dom0_cpu, hyp_cpu).
 [[nodiscard]] util::CsvDocument training_set_to_csv(const TrainingSet& data);
 
-/// CSV -> TrainingSet. Throws on missing columns.
+/// CSV -> TrainingSet. Throws ContractViolation on missing columns and
+/// on a row whose n_vms is not an integer >= 1 (the message names the
+/// row, counting data rows from 1).
 [[nodiscard]] TrainingSet training_set_from_csv(const util::CsvDocument& csv);
 
 /// Serialize fitted models (coefficients + fit quality). Format:
@@ -41,13 +43,8 @@ void save_models(const TrainedModels& models, std::ostream& os);
 [[nodiscard]] util::Result<TrainedModels> load_models_file_result(
     const std::string& path);
 
-/// Throwing shims over the *_result API (throw ContractViolation).
-[[nodiscard]] TrainedModels load_models(std::istream& is);
-[[nodiscard]] TrainedModels models_from_string(const std::string& text);
-
-/// File-path conveniences.
+/// File-path convenience.
 void save_models_file(const TrainedModels& models, const std::string& path);
-[[nodiscard]] TrainedModels load_models_file(const std::string& path);
 
 // --- Heterogeneous (typed) model -------------------------------------
 void save_hetero_model(const HeteroModel& model, std::ostream& os);

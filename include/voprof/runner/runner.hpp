@@ -16,9 +16,10 @@
 ///    index order (util::RunningStats::merge is order-fixed), so a
 ///    `--jobs 8` sweep writes byte-identical CSV to a `--jobs 1` run.
 ///
-/// Benches parse `--jobs N` with options_from_cli (default: all
-/// hardware threads; `--jobs 1` reproduces the historical serial
-/// path) and drive their cells through SweepRunner::map.
+/// Benches declare `--jobs N` (jobs_flag) and read it with
+/// options_from_cli (default: all hardware threads; `--jobs 1`
+/// reproduces the historical serial path), then drive their cells
+/// through SweepRunner::map.
 
 #include <cstdint>
 #include <map>
@@ -29,6 +30,7 @@
 #include "voprof/core/trainer.hpp"
 #include "voprof/obs/metrics.hpp"
 #include "voprof/obs/trace.hpp"
+#include "voprof/util/cli.hpp"
 #include "voprof/util/csv.hpp"
 #include "voprof/util/rng.hpp"
 #include "voprof/util/task_pool.hpp"
@@ -43,18 +45,15 @@ using util::seed_for;
 /// How a sweep executes. jobs = 0 means "all hardware threads".
 struct RunOptions {
   int jobs = 0;
-  /// When non-empty, the obs trace collector is enabled with this
-  /// output path (options_from_cli applies it; same effect as the
-  /// VOPROF_TRACE env knob).
-  std::string trace_path;
 };
 
-/// Parse the runner flags of a bench/tool command line (`--jobs N`,
-/// `--trace FILE`). Throws util::ContractViolation on unknown flags or
-/// malformed values, so typos never silently run serial. Also checks
-/// VOPROF_TRACE and enables the trace collector when either source
-/// names an output file.
-[[nodiscard]] RunOptions options_from_cli(int argc, const char* const* argv);
+/// The runner's flag, `--jobs N`, for a command's declared flags.
+[[nodiscard]] util::FlagSpec jobs_flag();
+
+/// RunOptions from a command line parsed with jobs_flag() declared.
+/// A negative --jobs is an Errc::kValidation error.
+[[nodiscard]] util::Result<RunOptions> options_from_cli(
+    const util::CliArgs& args);
 
 /// A TaskPool wrapped with the index-ordered mapping discipline the
 /// determinism guarantee rests on.

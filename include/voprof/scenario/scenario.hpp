@@ -76,6 +76,8 @@ struct ScenarioSpec {
       const std::string& path);
 
   /// Throwing shims over the *_result API (throw ContractViolation).
+  /// Kept only because the end-to-end benchmark driver (e2e/bench)
+  /// calls them; new code uses the *_result forms.
   [[nodiscard]] static ScenarioSpec parse(const std::string& text);
   [[nodiscard]] static ScenarioSpec load(const std::string& path);
 };

@@ -53,11 +53,6 @@ class CsvDocument {
   [[nodiscard]] static Result<CsvDocument> load_result(
       const std::string& path);
 
-  /// Throwing shims over the *_result API.
-  [[nodiscard]] static CsvDocument parse(std::istream& is);
-  [[nodiscard]] static CsvDocument parse_string(const std::string& text);
-  [[nodiscard]] static CsvDocument load(const std::string& path);
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<double>> rows_;

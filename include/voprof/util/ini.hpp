@@ -39,11 +39,6 @@ class IniDocument {
   [[nodiscard]] static Result<IniDocument> load_result(
       const std::string& path);
 
-  /// Throwing shims over the *_result API (historical spellings;
-  /// throw ContractViolation on any error).
-  [[nodiscard]] static IniDocument parse(const std::string& text);
-  [[nodiscard]] static IniDocument load(const std::string& path);
-
   [[nodiscard]] const std::vector<IniSection>& sections() const noexcept {
     return sections_;
   }

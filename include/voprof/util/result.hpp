@@ -12,10 +12,11 @@
 /// human-readable message and a `file:line`-style context telling the
 /// caller where the problem was detected.
 ///
-/// Convention: `*_result` functions are the primary API and never
-/// throw on input errors; the historical throwing spellings remain as
-/// thin shims (`load()` = `load_result().value_or_throw()`), so
-/// existing call sites keep working unchanged.
+/// Convention: `*_result` functions are the loader API and never throw
+/// on input errors. A caller that wants an exception unwraps with
+/// `value_or_throw()`; there are no separate throwing loaders, except
+/// ScenarioSpec::parse|load, which the end-to-end benchmark driver
+/// (e2e/bench) calls.
 
 #include <optional>
 #include <string>
@@ -52,7 +53,7 @@ struct Error {
 
 /// Either a T or an Error. Intentionally minimal: no monadic
 /// combinators, just checked access and one bridge to the exception
-/// world for the throwing shims.
+/// world.
 template <typename T>
 class [[nodiscard]] Result {
  public:
@@ -82,7 +83,7 @@ class [[nodiscard]] Result {
     return error_;
   }
 
-  /// Bridge for the throwing shims: unwrap or throw ContractViolation
+  /// Bridge for throwing callers: unwrap or throw ContractViolation
   /// carrying Error::to_string() (the historical exception type, so
   /// callers that caught ContractViolation keep working).
   [[nodiscard]] T value_or_throw() && {

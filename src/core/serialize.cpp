@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "voprof/util/assert.hpp"
+#include "voprof/util/numeric.hpp"
 
 namespace voprof::model {
 
@@ -63,7 +64,11 @@ TrainingSet training_set_from_csv(const util::CsvDocument& csv) {
   TrainingSet data;
   for (std::size_t i = 0; i < csv.row_count(); ++i) {
     TrainingRow r;
-    r.n_vms = static_cast<int>(csv.at(i, "n_vms"));
+    const double n_vms = csv.at(i, "n_vms");
+    VOPROF_REQUIRE_MSG(util::exact_int(n_vms, r.n_vms) && r.n_vms >= 1,
+                       "observation row " + std::to_string(i + 1) +
+                           ": n_vms must be an integer >= 1, got " +
+                           util::format_double(n_vms));
     r.vm_sum = UtilVec{csv.at(i, "vm_cpu"), csv.at(i, "vm_mem"),
                        csv.at(i, "vm_io"), csv.at(i, "vm_bw")};
     r.pm = UtilVec{csv.at(i, "pm_cpu"), csv.at(i, "pm_mem"),
@@ -156,22 +161,10 @@ util::Result<TrainedModels> load_models_file_result(const std::string& path) {
   return parsed;
 }
 
-TrainedModels load_models(std::istream& is) {
-  return load_models_result(is).value_or_throw();
-}
-
-TrainedModels models_from_string(const std::string& text) {
-  return models_from_string_result(text).value_or_throw();
-}
-
 void save_models_file(const TrainedModels& models, const std::string& path) {
   std::ofstream f(path);
   VOPROF_REQUIRE_MSG(f.good(), "cannot open model file for writing: " + path);
   save_models(models, f);
-}
-
-TrainedModels load_models_file(const std::string& path) {
-  return load_models_file_result(path).value_or_throw();
 }
 
 // -------------------------------------------------------- typed model

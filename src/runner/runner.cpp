@@ -5,31 +5,19 @@
 #include <utility>
 
 #include "voprof/util/assert.hpp"
-#include "voprof/util/cli.hpp"
 #include "voprof/util/stats.hpp"
 
 namespace voprof::runner {
 
-RunOptions options_from_cli(int argc, const char* const* argv) {
-  const util::CliArgs args = util::CliArgs::parse(argc, argv);
-  VOPROF_REQUIRE_MSG(args.command().empty(),
-                     "unexpected positional argument: " + args.command());
+util::FlagSpec jobs_flag() {
+  return {"jobs", util::FlagSpec::Kind::kInteger};
+}
+
+util::Result<RunOptions> options_from_cli(const util::CliArgs& args) {
   RunOptions opts;
   opts.jobs = args.get_int("jobs", 0);
-  VOPROF_REQUIRE_MSG(opts.jobs >= 0, "--jobs must be >= 0");
-  opts.trace_path = args.get_or("trace", "");
-  for (const std::string& name : args.flag_names()) {
-    VOPROF_REQUIRE_MSG(
-        name == "jobs" || name == "trace",
-        "unknown flag --" + name +
-            " (runner accepts --jobs N and --trace FILE)");
-  }
-  // --trace wins over VOPROF_TRACE; either way the collector flushes
-  // the Chrome-trace file when the program exits.
-  if (!opts.trace_path.empty()) {
-    obs::TraceCollector::global().enable(opts.trace_path);
-  } else {
-    obs::TraceCollector::global().init_from_env();
+  if (opts.jobs < 0) {
+    return util::Error{util::Errc::kValidation, "--jobs must be >= 0", {}};
   }
   return opts;
 }

@@ -207,8 +207,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     }
     if (!vm.trace_path.empty()) {
       dom.attach(std::make_unique<wl::TraceWorkload>(
-          wl::trace_from_csv(util::CsvDocument::load(vm.trace_path), "vm_",
-                             vm.trace_interval_s),
+          wl::trace_from_csv(
+              util::CsvDocument::load_result(vm.trace_path).value_or_throw(),
+              "vm_", vm.trace_interval_s),
           trace_target, /*loop=*/true));
     } else if (vm.cpu_pct > 0 || vm.mem_mib > 0 || vm.io_blocks > 0 ||
                vm.bw_kbps > 0) {

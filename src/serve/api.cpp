@@ -1,5 +1,7 @@
 #include "voprof/serve/api.hpp"
 
+#include <algorithm>
+
 namespace voprof::serve {
 
 const char* op_name(Op op) noexcept {
@@ -88,7 +90,12 @@ util::Result<Request> parse_request(const std::string& line) {
     if (!deadline->is_number() || deadline->as_number() < 0) {
       return fail("deadline_ms", "deadline_ms must be a number >= 0");
     }
-    req.deadline_ms = static_cast<std::int64_t>(deadline->as_number());
+    // Clamp before the cast: a static_cast of 1e300 is undefined (x86
+    // yields INT64_MIN, read downstream as "use the default"). Anything
+    // this large is past every max_deadline_ms, which Service applies.
+    constexpr double kLongestDeadlineMs = 0x1p53;
+    req.deadline_ms = static_cast<std::int64_t>(
+        std::min(deadline->as_number(), kLongestDeadlineMs));
   }
 
   if (const util::Json* params = doc.find("params")) {

@@ -13,6 +13,7 @@
 #include "voprof/obs/trace.hpp"
 #include "voprof/runner/runner.hpp"
 #include "voprof/scenario/scenario.hpp"
+#include "voprof/util/numeric.hpp"
 #include "voprof/util/units.hpp"
 
 namespace voprof::serve {
@@ -119,8 +120,8 @@ double num_param(const util::Json& params, const char* key, double def) {
 
 int int_param(const util::Json& params, const char* key, int def) {
   const double v = num_param(params, key, static_cast<double>(def));
-  const int i = static_cast<int>(v);
-  if (static_cast<double>(i) != v) {
+  int i = 0;
+  if (!util::exact_int(v, i)) {
     fail(ApiError::kBadRequest,
          std::string("param '") + key + "' must be an integer");
   }

@@ -7,27 +7,66 @@
 
 namespace voprof::util {
 
-CliArgs CliArgs::parse(int argc, const char* const* argv,
-                       const std::vector<std::string>& bool_flags) {
+namespace {
+
+Error invalid(std::string message) {
+  return Error{Errc::kValidation, std::move(message), {}};
+}
+
+bool is_flag(const std::string& token) { return token.rfind("--", 0) == 0; }
+
+}  // namespace
+
+Result<CliArgs> CliArgs::parse(const std::vector<std::string>& tokens,
+                               const std::vector<FlagSpec>& flags,
+                               std::size_t operands) {
   CliArgs out;
-  int i = 1;
-  if (i < argc && argv[i][0] != '-') {
-    out.command_ = argv[i];
-    ++i;
-  }
-  for (; i < argc; ++i) {
-    const std::string token = argv[i];
-    VOPROF_REQUIRE_MSG(token.rfind("--", 0) == 0,
-                       "expected a --flag, got: " + token);
-    const std::string name = token.substr(2);
-    VOPROF_REQUIRE_MSG(!name.empty(), "empty flag name");
-    if (std::find(bool_flags.begin(), bool_flags.end(), name) !=
-        bool_flags.end()) {
-      out.switches_[name] = true;
+  for (std::size_t i = 0; i < tokens.size(); ++i) {
+    const std::string& token = tokens[i];
+    if (!is_flag(token)) {
+      if (out.operands_.size() == operands) {
+        return invalid("unexpected argument '" + token + "'");
+      }
+      out.operands_.push_back(token);
       continue;
     }
-    VOPROF_REQUIRE_MSG(i + 1 < argc, "flag --" + name + " needs a value");
-    out.values_[name] = argv[++i];
+    const std::string name = token.substr(2);
+    const auto spec =
+        std::find_if(flags.begin(), flags.end(),
+                     [&name](const FlagSpec& f) { return f.name == name; });
+    if (spec == flags.end()) {
+      std::string valid;
+      for (const FlagSpec& f : flags) {
+        valid += (valid.empty() ? "--" : ", --") + f.name;
+      }
+      return invalid("unknown flag " + token + " (valid: " +
+                     (valid.empty() ? "none" : valid) + ")");
+    }
+    if (spec->kind == FlagSpec::Kind::kSwitch) {
+      out.switches_.insert(name);
+      continue;
+    }
+    if (i + 1 == tokens.size() || is_flag(tokens[i + 1])) {
+      return invalid("flag " + token + " needs a value");
+    }
+    const std::string& value = tokens[++i];
+    double number = 0.0;
+    int integer = 0;
+    if (spec->kind == FlagSpec::Kind::kNumber &&
+        !parse_double(value, number)) {
+      return invalid("flag " + token + " is not a number: '" + value + "'");
+    }
+    if (spec->kind == FlagSpec::Kind::kInteger &&
+        !(parse_double(value, number) && exact_int(number, integer))) {
+      return invalid("flag " + token + " is not an integer: '" + value +
+                     "'");
+    }
+    out.values_[name] = value;
+  }
+  if (out.operands_.size() < operands) {
+    return invalid("expected " + std::to_string(operands) +
+                   " argument(s), got " +
+                   std::to_string(out.operands_.size()));
   }
   return out;
 }
@@ -52,10 +91,9 @@ double CliArgs::get_double(const std::string& name, double fallback) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return fallback;
   double v = 0.0;
-  if (!parse_double(it->second, v)) {
-    throw ContractViolation("flag --" + name + " is not numeric: '" +
-                            it->second + "'");
-  }
+  VOPROF_REQUIRE_MSG(parse_double(it->second, v),
+                     "flag --" + name + " is not a number: '" + it->second +
+                         "'");
   return v;
 }
 
@@ -67,15 +105,7 @@ int CliArgs::get_int(const std::string& name, int fallback) const {
 }
 
 bool CliArgs::get_bool(const std::string& name) const noexcept {
-  const auto it = switches_.find(name);
-  return it != switches_.end() && it->second;
-}
-
-std::vector<std::string> CliArgs::flag_names() const {
-  std::vector<std::string> out;
-  for (const auto& [k, v] : values_) out.push_back(k);
-  for (const auto& [k, v] : switches_) out.push_back(k);
-  return out;
+  return switches_.count(name) > 0;
 }
 
 }  // namespace voprof::util

@@ -156,16 +156,4 @@ Result<CsvDocument> CsvDocument::load_result(const std::string& path) {
   return parsed;
 }
 
-CsvDocument CsvDocument::parse(std::istream& is) {
-  return parse_result(is).value_or_throw();
-}
-
-CsvDocument CsvDocument::parse_string(const std::string& text) {
-  return parse_string_result(text).value_or_throw();
-}
-
-CsvDocument CsvDocument::load(const std::string& path) {
-  return load_result(path).value_or_throw();
-}
-
 }  // namespace voprof::util

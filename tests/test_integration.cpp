@@ -124,7 +124,8 @@ TEST(Pipeline, SerializedModelDrivesPlacement) {
   const model::TrainedModels trained =
       model::Trainer(cfg).train(model::RegressionMethod::kLms);
   const model::TrainedModels reloaded =
-      model::models_from_string(model::models_to_string(trained));
+      model::models_from_string_result(model::models_to_string(trained))
+          .value();
 
   place::PlacerConfig pcfg;
   pcfg.overhead_aware = true;

@@ -105,7 +105,8 @@ TEST(LocaleIndependence, CsvParsesUnderCommaDecimalLocale) {
   // Even if no comma-decimal locale is installed in this image, the
   // parse must give identical results under the default locale.
   const CsvDocument doc =
-      CsvDocument::parse_string("a,b\n1.5,2.25\n-0.125,1e2\n");
+      CsvDocument::parse_string_result("a,b\n1.5,2.25\n-0.125,1e2\n")
+          .value();
   EXPECT_EQ(doc.at(0, 0), 1.5);
   EXPECT_EQ(doc.at(0, 1), 2.25);
   EXPECT_EQ(doc.at(1, 0), -0.125);
@@ -137,15 +138,18 @@ TEST(LocaleIndependence, CsvRoundTripUnderCommaLocaleIsBitExact) {
   doc.add_row({1.0 / 3.0});
   doc.add_row({0.1 + 0.2});
   doc.add_row({std::nextafter(1.0, 2.0)});
-  const CsvDocument back = CsvDocument::parse_string(doc.str());
+  const CsvDocument back = CsvDocument::parse_string_result(doc.str()).value();
   for (std::size_t r = 0; r < doc.row_count(); ++r) {
     EXPECT_EQ(back.at(r, 0), doc.at(r, 0));
   }
 }
 
-TEST(CsvParse, ThrowsOnNonNumericCell) {
-  EXPECT_THROW(CsvDocument::parse_string("a\nnot_a_number\n"),
-               ContractViolation);
+TEST(CsvParse, RejectsNonNumericCell) {
+  const Result<CsvDocument> r =
+      CsvDocument::parse_string_result("a\nnot_a_number\n");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, Errc::kParse);
+  EXPECT_EQ(r.error().context, "row 2");
 }
 
 }  // namespace

@@ -41,26 +41,39 @@ TEST(SeedFor, AdjacentIndicesShareNoObviousStructure) {
   EXPECT_GT(deltas.size(), 250u);
 }
 
+/// RunOptions from a bench-style command line declaring jobs_flag().
+util::Result<RunOptions> run_options(const std::vector<std::string>& tokens) {
+  const util::Result<util::CliArgs> args =
+      util::CliArgs::parse(tokens, {jobs_flag()});
+  if (!args.ok()) return args.error();
+  return options_from_cli(args.value());
+}
+
 TEST(RunOptions, ParsesJobsFlag) {
-  const char* argv[] = {"bench", "--jobs", "3"};
-  const RunOptions opts = options_from_cli(3, argv);
-  EXPECT_EQ(opts.jobs, 3);
+  const util::Result<RunOptions> opts = run_options({"--jobs", "3"});
+  ASSERT_TRUE(opts.ok());
+  EXPECT_EQ(opts.value().jobs, 3);
 }
 
 TEST(RunOptions, DefaultsToAllHardwareThreads) {
-  const char* argv[] = {"bench"};
-  const RunOptions opts = options_from_cli(1, argv);
-  EXPECT_EQ(opts.jobs, 0);
-  EXPECT_EQ(SweepRunner(opts).jobs(), util::TaskPool::default_jobs());
+  const util::Result<RunOptions> opts = run_options({});
+  ASSERT_TRUE(opts.ok());
+  EXPECT_EQ(opts.value().jobs, 0);
+  EXPECT_EQ(SweepRunner(opts.value()).jobs(), util::TaskPool::default_jobs());
 }
 
 TEST(RunOptions, RejectsUnknownFlagsAndBadValues) {
-  const char* unknown[] = {"bench", "--job", "3"};
-  EXPECT_THROW((void)options_from_cli(3, unknown), util::ContractViolation);
-  const char* negative[] = {"bench", "--jobs", "-2"};
-  EXPECT_THROW((void)options_from_cli(3, negative), util::ContractViolation);
-  const char* positional[] = {"bench", "fast"};
-  EXPECT_THROW((void)options_from_cli(2, positional), util::ContractViolation);
+  for (const std::vector<std::string>& bad :
+       std::vector<std::vector<std::string>>{{"--job", "3"},
+                                             {"--jobs", "-2"},
+                                             {"--jobs", "abc"},
+                                             {"--jobs", "1e20"},
+                                             {"--jobs"},
+                                             {"fast"}}) {
+    const util::Result<RunOptions> opts = run_options(bad);
+    ASSERT_FALSE(opts.ok()) << bad[0];
+    EXPECT_EQ(opts.error().code, util::Errc::kValidation) << bad[0];
+  }
 }
 
 MicroSweepConfig small_sweep() {

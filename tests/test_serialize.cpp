@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "voprof/util/assert.hpp"
 #include "voprof/util/rng.hpp"
 
@@ -51,7 +56,7 @@ TEST(TrainingSetCsv, RoundTripThroughText) {
   const TrainingSet data = synthetic_data(2);
   const std::string text = training_set_to_csv(data).str();
   const TrainingSet back =
-      training_set_from_csv(util::CsvDocument::parse_string(text));
+      training_set_from_csv(util::CsvDocument::parse_string_result(text).value());
   EXPECT_EQ(back.size(), data.size());
   // Models fitted on both sides agree.
   const auto a = Trainer::fit_models(data, RegressionMethod::kOls);
@@ -80,6 +85,28 @@ TEST(TrainingSetCsv, MissingColumnRejected) {
   EXPECT_THROW((void)training_set_from_csv(csv), util::ContractViolation);
 }
 
+TEST(TrainingSetCsv, VmCountMustBeAPositiveInteger) {
+  // n_vms comes from an external observation CSV: reject it before any
+  // cast (nan and 1e20 would be undefined, 2.5 would truncate to 2).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, 1e20, 2.5, 0.0, -1.0}) {
+    util::CsvDocument csv = training_set_to_csv(synthetic_data(5));
+    std::vector<double> row(csv.header().size(), 1.0);
+    row[csv.column("n_vms")] = bad;
+    csv.add_row(row);
+    try {
+      (void)training_set_from_csv(csv);
+      ADD_FAILURE() << "accepted n_vms " << bad;
+    } catch (const util::ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(
+                    "observation row " + std::to_string(csv.row_count()) +
+                    ": n_vms"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 class ModelSerialization : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -97,7 +124,7 @@ TrainedModels* ModelSerialization::models_ = nullptr;
 
 TEST_F(ModelSerialization, RoundTripPreservesPredictions) {
   const std::string text = models_to_string(*models_);
-  const TrainedModels back = models_from_string(text);
+  const TrainedModels back = models_from_string_result(text).value();
   ASSERT_TRUE(back.single.trained());
   ASSERT_TRUE(back.multi.trained());
   for (int n : {1, 2, 3, 4}) {
@@ -114,7 +141,8 @@ TEST_F(ModelSerialization, RoundTripPreservesPredictions) {
 }
 
 TEST_F(ModelSerialization, RoundTripPreservesFitQuality) {
-  const TrainedModels back = models_from_string(models_to_string(*models_));
+  const TrainedModels back =
+      models_from_string_result(models_to_string(*models_)).value();
   const LinearFit& a = models_->single.fit_for(MetricIndex::kCpu);
   const LinearFit& b = back.single.fit_for(MetricIndex::kCpu);
   EXPECT_DOUBLE_EQ(a.residual_rms, b.residual_rms);
@@ -124,20 +152,24 @@ TEST_F(ModelSerialization, RoundTripPreservesFitQuality) {
 TEST_F(ModelSerialization, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/voprof_models.txt";
   save_models_file(*models_, path);
-  const TrainedModels back = load_models_file(path);
+  const TrainedModels back = load_models_file_result(path).value();
   const UtilVec probe{55, 150, 0, 1800};
   EXPECT_DOUBLE_EQ(models_->multi.predict(probe, 2).cpu,
                    back.multi.predict(probe, 2).cpu);
 }
 
 TEST_F(ModelSerialization, RejectsGarbage) {
-  EXPECT_THROW((void)models_from_string(""), util::ContractViolation);
-  EXPECT_THROW((void)models_from_string("not-a-model\n"),
-               util::ContractViolation);
-  // Truncate mid-file.
-  std::string text = models_to_string(*models_);
-  text.resize(text.size() / 2);
-  EXPECT_THROW((void)models_from_string(text), util::ContractViolation);
+  std::string truncated = models_to_string(*models_);
+  truncated.resize(truncated.size() / 2);
+  const std::vector<std::pair<std::string, util::Errc>> cases = {
+      {"", util::Errc::kParse},
+      {"not-a-model\n", util::Errc::kUnsupported},
+      {truncated, util::Errc::kParse}};
+  for (const auto& [text, code] : cases) {
+    const util::Result<TrainedModels> r = models_from_string_result(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.error().code, code) << text;
+  }
 }
 
 TEST_F(ModelSerialization, UntrainedModelsRejected) {
@@ -146,8 +178,10 @@ TEST_F(ModelSerialization, UntrainedModelsRejected) {
 }
 
 TEST_F(ModelSerialization, MissingFileRejected) {
-  EXPECT_THROW((void)load_models_file("/nonexistent/voprof.txt"),
-               util::ContractViolation);
+  const util::Result<TrainedModels> r =
+      load_models_file_result("/nonexistent/voprof.txt");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, util::Errc::kIo);
 }
 
 // ------------------------------------------------------- typed model

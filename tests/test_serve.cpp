@@ -241,6 +241,42 @@ TEST(Service, BadParamsAreBadRequests) {
   EXPECT_EQ(stats.completed, 0u);
 }
 
+TEST(Service, HugeDeadlineIsClampedToTheMaximum) {
+  // A deadline past every bound gets max_deadline_ms, never the (here
+  // much shorter) default, even where an int64 cast of it is undefined.
+  ServiceConfig config = test_config();
+  config.default_deadline_ms = 30;
+  config.max_deadline_ms = 5000;
+  Service service(config);
+  for (const char* deadline : {"1e300", "1e19", "1000"}) {
+    EXPECT_EQ(error_code_of(service.handle_line(
+                  std::string(R"({"op":"sleep","deadline_ms":)") + deadline +
+                  R"(,"params":{"ms":100}})")),
+              "")
+        << deadline;
+  }
+  EXPECT_EQ(error_code_of(service.handle_line(
+                R"({"op":"sleep","params":{"ms":100}})")),
+            "timed_out");
+}
+
+TEST(Service, OutOfRangeIntegerParamsAreBadRequests) {
+  // Checked before any cast (and before any training or simulation).
+  Service service(test_config());
+  for (const char* v : {"1e20", "2147483648", "-1e20", "2.5"}) {
+    const std::string value(v);
+    for (const std::string& line :
+         {R"({"op":"predict","params":{"seed":)" + value + "}}",
+          R"({"op":"predict","params":{"vms":)" + value + "}}",
+          R"({"op":"simulate","params":{"scenario":"[cluster]",)"
+          R"("replications":)" + value + "}}"}) {
+      EXPECT_EQ(error_code_of(service.handle_line(line)), "bad_request")
+          << line;
+    }
+  }
+  EXPECT_EQ(service.stats().completed, 0u);
+}
+
 TEST(Service, SleepOpIsGatedBehindTestOps) {
   ServiceConfig config = test_config();
   config.enable_test_ops = false;

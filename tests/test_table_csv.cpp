@@ -70,7 +70,8 @@ TEST(Csv, RoundTripThroughText) {
   CsvDocument doc({"t", "cpu", "bw"});
   doc.add_row({1.0, 16.8, 2.03});
   doc.add_row({2.0, 17.1, 2.10});
-  const CsvDocument parsed = CsvDocument::parse_string(doc.str());
+  const CsvDocument parsed =
+      CsvDocument::parse_string_result(doc.str()).value();
   EXPECT_EQ(parsed.row_count(), 2u);
   EXPECT_EQ(parsed.header(), doc.header());
   EXPECT_DOUBLE_EQ(parsed.at(1, "cpu"), 17.1);
@@ -84,7 +85,8 @@ TEST(Csv, RoundTripIsBitExactForFullPrecisionDoubles) {
                                       123456789.123456789,
                                       2.718281828459045e-7, 1e-300};
   for (double v : values) doc.add_row({v});
-  const CsvDocument parsed = CsvDocument::parse_string(doc.str());
+  const CsvDocument parsed =
+      CsvDocument::parse_string_result(doc.str()).value();
   ASSERT_EQ(parsed.row_count(), values.size());
   for (std::size_t r = 0; r < values.size(); ++r) {
     EXPECT_EQ(parsed.at(r, 0), values[r]);  // exact, not DOUBLE_EQ
@@ -109,16 +111,16 @@ TEST(Csv, RowWidthEnforced) {
 }
 
 TEST(Csv, ParseRejectsGarbage) {
-  EXPECT_THROW((void)CsvDocument::parse_string("a,b\n1,notanumber\n"),
-               ContractViolation);
-  EXPECT_THROW((void)CsvDocument::parse_string("a,b\n1\n"),
-               ContractViolation);
-  EXPECT_THROW((void)CsvDocument::parse_string(""), ContractViolation);
+  for (const char* garbage : {"a,b\n1,notanumber\n", "a,b\n1\n", ""}) {
+    const Result<CsvDocument> r = CsvDocument::parse_string_result(garbage);
+    ASSERT_FALSE(r.ok()) << garbage;
+    EXPECT_EQ(r.error().code, Errc::kParse) << garbage;
+  }
 }
 
 TEST(Csv, ParseHandlesCrlfAndBlankLines) {
   const CsvDocument doc =
-      CsvDocument::parse_string("a,b\r\n1,2\r\n\r\n3,4\r\n");
+      CsvDocument::parse_string_result("a,b\r\n1,2\r\n\r\n3,4\r\n").value();
   EXPECT_EQ(doc.row_count(), 2u);
   EXPECT_DOUBLE_EQ(doc.at(1, "b"), 4.0);
 }
@@ -135,7 +137,7 @@ TEST(Csv, SaveAndLoadFile) {
   doc.add_row({42.0});
   const std::string path = ::testing::TempDir() + "/voprof_csv_test.csv";
   doc.save(path);
-  const CsvDocument loaded = CsvDocument::load(path);
+  const CsvDocument loaded = CsvDocument::load_result(path).value();
   EXPECT_DOUBLE_EQ(loaded.at(0, "x"), 42.0);
 }
 

@@ -1,0 +1,36 @@
+#include "command_line.hpp"
+
+#include <algorithm>
+#include <cstdlib>
+#include <iostream>
+
+#include "voprof/obs/trace.hpp"
+
+namespace voprof::tools {
+
+util::CliArgs CommandLine::parse_or_exit(
+    const std::vector<std::string>& tokens) const {
+  if (std::any_of(tokens.begin(), tokens.end(), [](const std::string& t) {
+        return t == "--help" || t == "-h";
+      })) {
+    std::cout << usage;
+    std::exit(0);
+  }
+  util::Result<util::CliArgs> args =
+      util::CliArgs::parse(tokens, flags, operands);
+  if (!args.ok()) fail(args.error().message);
+  auto& collector = obs::TraceCollector::global();
+  if (args.value().has("trace-out")) {
+    collector.enable(args.value().get("trace-out"));
+  } else {
+    collector.init_from_env();
+  }
+  return std::move(args).take();
+}
+
+void CommandLine::fail(const std::string& message) const {
+  std::cerr << program << ": " << message << '\n' << usage;
+  std::exit(2);
+}
+
+}  // namespace voprof::tools

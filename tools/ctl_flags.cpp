@@ -1,146 +1,143 @@
 #include "ctl_flags.hpp"
 
-#include <algorithm>
-
-#include "voprof/util/assert.hpp"
-
 namespace voprof::tools {
 
 namespace {
 
-struct CommandEntry {
-  std::string command;
-  std::vector<FlagSpec> flags;
-};
+constexpr auto kNumber = util::FlagSpec::Kind::kNumber;
+constexpr auto kInteger = util::FlagSpec::Kind::kInteger;
+constexpr auto kSwitch = util::FlagSpec::Kind::kSwitch;
+
+}  // namespace
 
 /// The whole CLI surface. Cross-cutting flags keep one spelling:
 /// --jobs (parallelism), --seed, --format csv|json, --trace-out
-/// (observability trace file, everywhere — --trace is reserved for
-/// observation-CSV *inputs*, now spelled --observations).
+/// (observability trace file, everywhere; observation-CSV inputs are
+/// --observations).
 const std::vector<CommandEntry>& command_table() {
   static const std::vector<CommandEntry> table = {
       {"train",
-       {{"out"}, {"method"}, {"duration"}, {"seed"}, {"jobs"},
-        {"trace-out"}}},
+       {{"out"}, {"method"}, {"duration", kNumber}, {"seed", kInteger},
+        {"jobs", kInteger}, {"trace-out"}},
+       "  train         run the micro-benchmark sweep and fit the models\n"
+       "                  --out FILE [--method lms|ols] [--duration SEC]\n"
+       "                  [--seed N] [--jobs N] [--trace-out FILE]\n"},
       {"export-trace",
-       {{"out"}, {"duration"}, {"seed"}, {"jobs"}, {"trace-out"}}},
-      {"fit", {{"observations"}, {"out"}, {"method"}, {"trace-out"}}},
+       {{"out"}, {"duration", kNumber}, {"seed", kInteger},
+        {"jobs", kInteger}, {"trace-out"}},
+       "  export-trace  dump sweep observations as CSV\n"
+       "                  --out FILE [--duration SEC] [--seed N] [--jobs N]\n"
+       "                  [--trace-out FILE]\n"},
+      {"fit",
+       {{"observations"}, {"out"}, {"method"}, {"trace-out"}},
+       "  fit           fit models from an observation CSV\n"
+       "                  --observations FILE --out FILE [--method lms|ols]\n"
+       "                  [--trace-out FILE]\n"},
       {"predict",
-       {{"models"}, {"cpu"}, {"mem"}, {"io"}, {"bw"}, {"vms"}, {"format"},
-        {"trace-out"}}},
+       {{"models"}, {"cpu", kNumber}, {"mem", kNumber}, {"io", kNumber},
+        {"bw", kNumber}, {"vms", kInteger}, {"format"}, {"trace-out"}},
+       "  predict       predict PM utilization from summed VM metrics\n"
+       "                  --models FILE --cpu PCT --mem MIB --io BLKS\n"
+       "                  --bw KBPS [--vms N] [--format csv|json]\n"
+       "                  [--trace-out FILE]\n"},
       {"profile",
-       {{"kind"}, {"value"}, {"vms"}, {"duration"}, {"seed"}, {"format"},
-        {"trace-out"}}},
+       {{"kind"}, {"value", kNumber}, {"vms", kInteger},
+        {"duration", kNumber}, {"seed", kInteger}, {"format"},
+        {"trace-out"}},
+       "  profile       measure one workload cell\n"
+       "                  --kind cpu|mem|io|bw --value V [--vms N]\n"
+       "                  [--duration SEC] [--seed N] [--format csv|json]\n"
+       "                  [--trace-out FILE]\n"},
       {"rubis",
-       {{"models"}, {"clients"}, {"duration"}, {"seed"}, {"trace-out"}}},
+       {{"models"}, {"clients", kInteger}, {"duration", kNumber},
+        {"trace-out"}},
+       "  rubis         RUBiS prediction-accuracy run\n"
+       "                  --models FILE [--clients N] [--duration SEC]\n"
+       "                  [--trace-out FILE]\n"},
       {"inspect",
-       {{"observations"}, {"method"}, {"resamples"}, {"seed"},
-        {"trace-out"}}},
+       {{"observations"}, {"method"}, {"resamples", kInteger},
+        {"trace-out"}},
+       "  inspect       bootstrap confidence intervals for the model\n"
+       "                  coefficients fitted from an observation CSV\n"
+       "                  --observations FILE [--method lms|ols]\n"
+       "                  [--resamples N] [--trace-out FILE]\n"},
       {"simulate",
-       {{"scenario"}, {"replications"}, {"jobs"}, {"seed"}, {"format"},
-        {"series-out"}, {"trace-out"}}},
-      {"bench-diff",
-       {{"baseline"}, {"current"}, {"threshold"},
-        {"report-improvement", true}}},
+       {{"scenario"}, {"replications", kInteger}, {"jobs", kInteger},
+        {"seed", kInteger}, {"format"}, {"series-out"}, {"trace-out"}},
+       "  simulate      run a declarative scenario (INI) and print the\n"
+       "                  measured utilizations\n"
+       "                  --scenario FILE [--series-out OUT.csv]\n"
+       "                  [--replications N] [--jobs N] [--seed N]\n"
+       "                  [--format csv|json] [--trace-out FILE]\n"},
       {"serve",
-       {{"socket"}, {"jobs"}, {"queue-capacity"}, {"default-deadline-ms"},
-        {"max-deadline-ms"}, {"train-duration"}, {"seed"}, {"inner-jobs"},
-        {"enable-test-ops", true}, {"metrics-out"}, {"trace-out"}}},
+       {{"socket"}, {"jobs", kInteger}, {"queue-capacity", kInteger},
+        {"default-deadline-ms", kInteger}, {"max-deadline-ms", kInteger},
+        {"train-duration", kNumber}, {"seed", kInteger},
+        {"inner-jobs", kInteger}, {"enable-test-ops", kSwitch},
+        {"metrics-out"}, {"trace-out"}},
+       "  serve         run the voprofd daemon (see `voprofd --help`)\n"
+       "                  --socket PATH [--jobs N] [--queue-capacity N]\n"
+       "                  [--default-deadline-ms MS] [--max-deadline-ms MS]\n"
+       "                  [--train-duration SEC] [--seed N] [--inner-jobs N]\n"
+       "                  [--metrics-out FILE] [--trace-out FILE]\n"
+       "                  [--enable-test-ops]\n"},
       {"request",
-       {{"socket"}, {"op"}, {"params"}, {"id"}, {"deadline-ms"},
-        {"timeout-ms"}}},
+       {{"socket"}, {"op"}, {"params"}, {"id"}, {"deadline-ms", kInteger},
+        {"timeout-ms", kInteger}},
+       "  request       send one voprof-api-1 request to a daemon\n"
+       "                  --socket PATH --op OP [--params JSON] [--id ID]\n"
+       "                  [--deadline-ms MS] [--timeout-ms MS]\n"},
+      {"bench-diff",
+       {{"baseline"}, {"current"}, {"threshold", kNumber},
+        {"report-improvement", kSwitch}},
+       "  bench-diff    compare two BENCH_*.json perf records\n"
+       "                  --baseline FILE --current FILE\n"
+       "                  [--threshold FRAC] [--report-improvement]\n"
+       "                  exit 0 = ok, 1 = regression, 2 = bad input,\n"
+       "                  4 = improvement (with --report-improvement)\n"},
+      {"trace",
+       {{"limit", kInteger}, {"out"}},
+       "  trace         digest an exported observability trace\n"
+       "                  trace summary FILE   per-category time table\n"
+       "                  trace top FILE [--limit N]\n"
+       "                                       busiest spans by total time\n"
+       "                  trace export FILE [--out OUT.csv]\n"
+       "                                       per-span aggregates as CSV\n",
+       2},
+      {"version",
+       {},
+       "  version       print the build identity (compiler, flags,\n"
+       "                  git describe, observability state)\n"},
+      {"help",
+       {},
+       "  help          print this text (so do --help and -h, also\n"
+       "                  after a command)\n"},
   };
   return table;
 }
 
-const CommandEntry* find_command(const std::string& command) {
+const CommandEntry* find_command(const std::string& name) {
   for (const CommandEntry& e : command_table()) {
-    if (e.command == command) return &e;
+    if (e.name == name) return &e;
   }
   return nullptr;
 }
 
-std::string valid_flag_list(const CommandEntry& entry) {
-  std::string out;
-  for (const FlagSpec& f : entry.flags) {
-    if (!out.empty()) out += ", ";
-    out += "--" + f.name;
-  }
-  return out;
+std::string voprofctl_usage() {
+  std::string out =
+      "usage: voprofctl <command> [flags]\n"
+      "commands:\n";
+  for (const CommandEntry& e : command_table()) out += e.usage;
+  return out +
+         "--trace-out FILE writes an observability trace of the command;\n"
+         "VOPROF_TRACE=FILE does the same for any command\n";
 }
 
-}  // namespace
-
-const std::vector<FlagSpec>& command_flags(const std::string& command) {
-  static const std::vector<FlagSpec> empty;
-  const CommandEntry* entry = find_command(command);
-  return entry != nullptr ? entry->flags : empty;
-}
-
-std::vector<std::string> known_commands() {
-  std::vector<std::string> out;
-  for (const CommandEntry& e : command_table()) out.push_back(e.command);
-  return out;
-}
-
-util::Result<util::CliArgs> parse_flags(const std::string& command,
-                                      const std::vector<std::string>& tokens) {
-  const CommandEntry* entry = find_command(command);
-  if (entry == nullptr) {
-    std::string cmds;
-    for (const std::string& c : known_commands()) {
-      if (!cmds.empty()) cmds += ", ";
-      cmds += c;
-    }
-    return util::Error{util::Errc::kValidation,
-                       "unknown command '" + command + "' (commands: " +
-                           cmds + ")",
-                       "cli"};
-  }
-
-  std::vector<const char*> argv;
-  argv.reserve(tokens.size() + 1);
-  argv.push_back("voprofctl");  // argv[0] slot CliArgs skips
-  for (const std::string& t : tokens) argv.push_back(t.c_str());
-  std::vector<std::string> bool_flags;
-  for (const FlagSpec& f : entry->flags) {
-    if (f.boolean) bool_flags.push_back(f.name);
-  }
-
-  util::CliArgs args;
-  try {
-    args = util::CliArgs::parse(static_cast<int>(argv.size()), argv.data(),
-                                bool_flags);
-  } catch (const util::ContractViolation& e) {
-    return util::Error{util::Errc::kValidation, e.what(), command};
-  }
-  if (!args.command().empty()) {
-    return util::Error{util::Errc::kValidation,
-                       "unexpected positional argument '" + args.command() +
-                           "'",
-                       command};
-  }
-  for (const std::string& name : args.flag_names()) {
-    const bool known =
-        std::any_of(entry->flags.begin(), entry->flags.end(),
-                    [&name](const FlagSpec& f) { return f.name == name; });
-    if (!known) {
-      return util::Error{util::Errc::kValidation,
-                         "unknown flag --" + name + " (valid: " +
-                             valid_flag_list(*entry) + ")",
-                         command};
-    }
-  }
-  return args;
-}
-
-util::Result<util::CliArgs> parse_flags_argv(const std::string& command,
-                                           int argc,
-                                           const char* const* argv,
-                                           int first_token) {
-  std::vector<std::string> tokens;
-  for (int i = first_token; i < argc; ++i) tokens.emplace_back(argv[i]);
-  return parse_flags(command, tokens);
-}
+const char* const kVoprofdUsage =
+    "usage: voprofd --socket PATH [--jobs N]\n"
+    "  [--queue-capacity N] [--default-deadline-ms MS]\n"
+    "  [--max-deadline-ms MS] [--train-duration SEC]\n"
+    "  [--seed N] [--inner-jobs N] [--metrics-out FILE]\n"
+    "  [--trace-out FILE] [--enable-test-ops]\n";
 
 }  // namespace voprof::tools

@@ -1,46 +1,41 @@
 #pragma once
 /// \file ctl_flags.hpp
 /// The one flag table of the voprof command-line surface. Every
-/// voprofctl subcommand (and voprofd, which is `voprofctl serve` in a
-/// dedicated binary) declares its flags here, so:
-///  * unknown flags fail with the command's valid-flag list instead of
-///    silently parsing;
+/// voprofctl command (and voprofd, which is `voprofctl serve` in a
+/// dedicated binary) declares here its flags, its operand count and
+/// the usage text that documents them, so:
+///  * util::CliArgs::parse rejects anything a command does not declare;
 ///  * the cross-cutting flags keep one spelling everywhere: `--jobs`,
-///    `--seed`, `--format csv|json`, `--trace-out FILE`.
-///
-/// tests/test_ctl_flags.cpp drives this table directly; the binaries
-/// only wrap it.
+///    `--seed`, `--format csv|json`, `--trace-out FILE`;
+///  * tests/test_ctl_flags.cpp checks that every declared flag is in
+///    its command's usage text.
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
 #include "voprof/util/cli.hpp"
-#include "voprof/util/result.hpp"
 
 namespace voprof::tools {
 
-/// One flag a command accepts.
-struct FlagSpec {
-  std::string name;      ///< canonical spelling (no leading --)
-  bool boolean = false;  ///< switch, takes no value
+/// One voprofctl command.
+struct CommandEntry {
+  std::string name;
+  std::vector<util::FlagSpec> flags;
+  std::string usage;  ///< this command's lines of the voprofctl usage
+  std::size_t operands = 0;
 };
 
-/// Flags accepted by `command`; empty when the command is unknown.
-[[nodiscard]] const std::vector<FlagSpec>& command_flags(
-    const std::string& command);
+/// Every voprofctl command, in usage order.
+[[nodiscard]] const std::vector<CommandEntry>& command_table();
 
-/// Commands registered in the table.
-[[nodiscard]] std::vector<std::string> known_commands();
+/// The entry named `name`; nullptr when there is none.
+[[nodiscard]] const CommandEntry* find_command(const std::string& name);
 
-/// Parse the tokens after `<program> <command>`: reject flags the
-/// command does not declare (listing the valid ones) and hand back
-/// strict CliArgs. Errors are Errc::kValidation.
-[[nodiscard]] util::Result<util::CliArgs> parse_flags(
-    const std::string& command, const std::vector<std::string>& tokens);
+/// voprofctl's usage: a header, every entry's usage, a footer.
+[[nodiscard]] std::string voprofctl_usage();
 
-/// Convenience over argv: tokens = argv[first_token..argc).
-[[nodiscard]] util::Result<util::CliArgs> parse_flags_argv(
-    const std::string& command, int argc, const char* const* argv,
-    int first_token);
+/// voprofd's usage; it accepts the `serve` entry's flags.
+extern const char* const kVoprofdUsage;
 
 }  // namespace voprof::tools

@@ -1,44 +1,20 @@
 /// \file voprofctl.cpp
 /// Command-line front-end for the voprof pipeline — the workflow a
-/// cloud operator would actually run:
-///
-///   voprofctl train   --out models.txt [--method lms|ols]
-///                     [--duration s] [--seed n] [--jobs n]
-///       Run the Table II x {1,2,4}-VM sweep on the simulated testbed
-///       and fit the Sec. V models.
-///
-///   voprofctl export-trace --out data.csv [--duration s]
-///       Dump the raw training observations as CSV (per-second rows).
-///
-///   voprofctl fit     --observations data.csv --out models.txt
-///       Trace-driven fitting from a previously exported (or external)
-///       observation CSV.
-///
-///   voprofctl predict --models models.txt --cpu C --mem M --io I
-///                     --bw B [--vms N] [--format csv|json]
-///       Predict PM utilization (incl. Dom0 + hypervisor) for a
-///       deployment whose summed VM utilization is (C, M, I, B).
-///
-///   voprofctl profile --kind cpu|mem|io|bw --value V [--vms N]
-///       Measure one micro-benchmark cell and print all entities.
-///
-///   voprofctl rubis   --models models.txt [--clients N]
-///       Deploy the two-tier RUBiS application and report prediction
-///       accuracy against the measured PMs.
-///
-///   voprofctl serve   --socket PATH / voprofctl request --socket PATH
-///       Run the voprofd daemon in-process / send it one request.
-///
-/// Every command accepts --trace-out FILE (observability trace export)
-/// and shares one spelling for --jobs / --seed / --format. Flags are
-/// declared in tools/ctl_flags.cpp.
+/// cloud operator would actually run: train the Sec. V models on the
+/// simulated testbed (or fit them from an observation CSV), predict PM
+/// utilization, profile a workload cell, replay RUBiS and scenarios,
+/// and run or query the voprofd daemon. Commands, their flags and their
+/// usage text are declared in tools/ctl_flags.cpp (`voprofctl help`
+/// prints them); tools/command_line.hpp is the exit-code contract.
 
 #include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "bench_diff.hpp"
+#include "command_line.hpp"
 #include "ctl_flags.hpp"
 #include "harness.hpp"
 #include "trace_cmd.hpp"
@@ -57,75 +33,6 @@
 namespace {
 
 using namespace voprof;
-
-void print_usage() {
-  std::cout <<
-      "usage: voprofctl <command> [flags]\n"
-      "commands:\n"
-      "  train         run the micro-benchmark sweep and fit the models\n"
-      "                  --out FILE [--method lms|ols] [--duration SEC]\n"
-      "                  [--seed N] [--jobs N]\n"
-      "  export-trace  dump sweep observations as CSV\n"
-      "                  --out FILE [--duration SEC] [--seed N] [--jobs N]\n"
-      "  fit           fit models from an observation CSV\n"
-      "                  --observations FILE --out FILE [--method lms|ols]\n"
-      "  predict       predict PM utilization from summed VM metrics\n"
-      "                  --models FILE --cpu PCT --mem MIB --io BLKS\n"
-      "                  --bw KBPS [--vms N] [--format csv|json]\n"
-      "  profile       measure one workload cell\n"
-      "                  --kind cpu|mem|io|bw --value V [--vms N]\n"
-      "                  [--duration SEC] [--seed N] [--format csv|json]\n"
-      "  rubis         RUBiS prediction-accuracy run\n"
-      "                  --models FILE [--clients N] [--duration SEC]\n"
-      "  inspect       bootstrap confidence intervals for the model\n"
-      "                  coefficients fitted from an observation CSV\n"
-      "                  --observations FILE [--method lms|ols]\n"
-      "                  [--resamples N]\n"
-      "  simulate      run a declarative scenario (INI) and print the\n"
-      "                  measured utilizations\n"
-      "                  --scenario FILE [--series-out OUT.csv]\n"
-      "                  [--replications N] [--jobs N] [--seed N]\n"
-      "                  [--format csv|json]\n"
-      "  serve         run the voprofd daemon (see `voprofd --help`)\n"
-      "                  --socket PATH [--jobs N] [--queue-capacity N]\n"
-      "                  [--default-deadline-ms MS] [--metrics-out FILE]\n"
-      "  request       send one voprof-api-1 request to a daemon\n"
-      "                  --socket PATH --op OP [--params JSON] [--id ID]\n"
-      "                  [--deadline-ms MS] [--timeout-ms MS]\n"
-      "  bench-diff    compare two BENCH_*.json perf records\n"
-      "                  --baseline FILE --current FILE\n"
-      "                  [--threshold FRAC] [--report-improvement]\n"
-      "                  exit 0 = ok, 1 = regression, 2 = bad input,\n"
-      "                  4 = improvement (with --report-improvement)\n"
-      "  trace         digest an exported observability trace\n"
-      "                  trace summary FILE   per-category time table\n"
-      "                  trace top FILE [--limit N]\n"
-      "                                       busiest spans by total time\n"
-      "                  trace export FILE [--out OUT.csv]\n"
-      "                                       per-span aggregates as CSV\n"
-      "  version       print the build identity (compiler, flags,\n"
-      "                  git describe, observability state)\n"
-      "  help          print this text (so do --help and -h, also\n"
-      "                  after a command)\n"
-      "every command also accepts --trace-out FILE (observability\n"
-      "trace; VOPROF_TRACE=FILE works too)\n";
-}
-
-/// Usage for a malformed command line: exit code 2.
-int usage() {
-  print_usage();
-  return 2;
-}
-
-/// `help`, or `--help`/`-h` anywhere on the command line.
-bool wants_help(int argc, char** argv) {
-  if (argc >= 2 && std::string(argv[1]) == "help") return true;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--help" || arg == "-h") return true;
-  }
-  return false;
-}
 
 model::RegressionMethod parse_method(const std::string& name) {
   if (name == "lms") return model::RegressionMethod::kLms;
@@ -393,20 +300,15 @@ int cmd_simulate(const util::CliArgs& args) {
   return 0;
 }
 
-int cmd_request(const util::CliArgs& args) {
+int cmd_request(const tools::CommandLine& cl, const util::CliArgs& args) {
   util::Json params = util::Json::object();
   if (args.has("params")) {
     try {
       params = util::Json::parse(args.get("params"));
     } catch (const util::JsonError& e) {
-      std::cerr << "voprofctl: --params is not valid JSON: " << e.what()
-                << '\n';
-      return 2;
+      cl.fail(std::string("--params is not valid JSON: ") + e.what());
     }
-    if (!params.is_object()) {
-      std::cerr << "voprofctl: --params must be a JSON object\n";
-      return 2;
-    }
+    if (!params.is_object()) cl.fail("--params must be a JSON object");
   }
   util::Json req = util::Json::object();
   req.set("api", serve::kApiVersion);
@@ -436,44 +338,34 @@ int cmd_request(const util::CliArgs& args) {
   return 1;
 }
 
-int cmd_serve(const util::CliArgs& args) {
+int cmd_serve(const tools::CommandLine& cl, const util::CliArgs& args) {
   const util::Result<serve::DaemonConfig> config =
       serve::daemon_config_from_args(args);
-  if (!config.ok()) {
-    std::cerr << "voprofctl: " << config.error().to_string() << '\n';
-    return 2;
-  }
+  if (!config.ok()) cl.fail(config.error().message);
   return serve::daemon_main(config.value());
 }
 
-int cmd_trace(const std::string& sub, const util::CliArgs& args) {
-  // The trace file rides in args.command() — main() peeled off the
-  // subcommand word before parsing.
-  const std::string& file = args.command();
-  if (file.empty()) return usage();
+int cmd_trace(const tools::CommandLine& cl, const util::CliArgs& args) {
+  const std::string& sub = args.operands()[0];
+  const std::string& file = args.operands()[1];
+  if (sub != "summary" && sub != "top" && sub != "export") {
+    cl.fail("unknown trace subcommand '" + sub + "'");
+  }
   const tools::TraceSummary summary = tools::summarize_trace_file(file);
   if (sub == "summary") {
     std::cout << tools::format_trace_summary(summary);
-    return 0;
-  }
-  if (sub == "top") {
+  } else if (sub == "top") {
     std::cout << tools::format_trace_top(summary, args.get_int("limit", 10));
-    return 0;
+  } else if (args.has("out")) {
+    std::ofstream out(args.get("out"));
+    VOPROF_REQUIRE_MSG(out.good(), "cannot write " + args.get("out"));
+    out << tools::trace_spans_csv(summary);
+    std::cout << "wrote " << summary.spans.size() << " span rows to "
+              << args.get("out") << '\n';
+  } else {
+    std::cout << tools::trace_spans_csv(summary);
   }
-  if (sub == "export") {
-    const std::string csv = tools::trace_spans_csv(summary);
-    if (args.has("out")) {
-      std::ofstream out(args.get("out"));
-      VOPROF_REQUIRE_MSG(out.good(), "cannot write " + args.get("out"));
-      out << csv;
-      std::cout << "wrote " << summary.spans.size() << " span rows to "
-                << args.get("out") << '\n';
-    } else {
-      std::cout << csv;
-    }
-    return 0;
-  }
-  return usage();
+  return 0;
 }
 
 int cmd_version() {
@@ -550,7 +442,8 @@ int cmd_bench_diff(const util::CliArgs& args) {
   }
 }
 
-int dispatch(const std::string& cmd, const util::CliArgs& args) {
+int dispatch(const tools::CommandLine& cl, const std::string& cmd,
+             const util::CliArgs& args) {
   if (cmd == "train") return cmd_train(args);
   if (cmd == "export-trace") return cmd_export_trace(args);
   if (cmd == "fit") return cmd_fit(args);
@@ -560,52 +453,38 @@ int dispatch(const std::string& cmd, const util::CliArgs& args) {
   if (cmd == "inspect") return cmd_inspect(args);
   if (cmd == "simulate") return cmd_simulate(args);
   if (cmd == "bench-diff") return cmd_bench_diff(args);
-  if (cmd == "serve") return cmd_serve(args);
-  if (cmd == "request") return cmd_request(args);
-  return usage();
+  if (cmd == "serve") return cmd_serve(cl, args);
+  if (cmd == "request") return cmd_request(cl, args);
+  if (cmd == "trace") return cmd_trace(cl, args);
+  if (cmd == "version") return cmd_version();
+  std::cout << cl.usage;  // help
+  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   try {
-    if (argc < 2) return usage();
-    if (wants_help(argc, argv)) {
-      print_usage();
-      return 0;
+    const std::vector<std::string> words(argv + 1, argv + argc);
+    const tools::CommandEntry* entry =
+        words.empty() ? nullptr : tools::find_command(words.front());
+    tools::CommandLine cl{"voprofctl", tools::voprofctl_usage(), {}, 0};
+    if (entry != nullptr) {
+      cl.flags = entry->flags;
+      cl.operands = entry->operands;
+    } else if (!words.empty() && !words.front().starts_with("-")) {
+      cl.fail("unknown command '" + words.front() + "'");
     }
-    const std::string cmd = argv[1];
-    if (cmd == "version") return cmd_version();
-    // `trace` takes a subcommand word plus a positional file, which
-    // the flag table (exactly zero positionals) can't express: peel
-    // the two leading words off first, so the file path becomes the
-    // command.
-    if (cmd == "trace") {
-      if (argc < 3) return usage();
-      return cmd_trace(argv[2], util::CliArgs::parse(argc - 2, argv + 2));
-    }
+    const util::CliArgs args =
+        cl.parse_or_exit({words.begin() + (entry != nullptr ? 1 : 0),
+                          words.end()});
+    if (entry == nullptr) cl.fail("missing command");
 
-    const util::Result<util::CliArgs> parsed =
-        tools::parse_flags_argv(cmd, argc, argv, 2);
-    if (!parsed.ok()) {
-      std::cerr << "voprofctl: " << parsed.error().to_string() << '\n';
-      return 2;
-    }
-    const util::CliArgs& args = parsed.value();
+    const int rc = dispatch(cl, entry->name, args);
 
-    // Uniform observability wiring: --trace-out (or VOPROF_TRACE)
-    // enables the collector for ANY command; the file is written after
-    // the command finishes. (`fit`/`inspect` read observation CSVs via
-    // --observations, so --trace-out is unambiguous everywhere.)
+    // The command line enabled the collector (--trace-out or
+    // VOPROF_TRACE); write the file once the command has finished.
     auto& collector = obs::TraceCollector::global();
-    if (args.has("trace-out")) {
-      collector.enable(args.get("trace-out"));
-    } else {
-      collector.init_from_env();
-    }
-
-    const int rc = dispatch(cmd, args);
-
     if (collector.enabled()) {
       const std::string path = collector.path();
       const std::size_t events = collector.size();
