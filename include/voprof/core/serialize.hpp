@@ -22,10 +22,11 @@ namespace voprof::model {
 /// pm_{cpu,mem,io,bw}, dom0_cpu, hyp_cpu).
 [[nodiscard]] util::CsvDocument training_set_to_csv(const TrainingSet& data);
 
-/// CSV -> TrainingSet. Throws ContractViolation on missing columns and
-/// on a row whose n_vms is not an integer >= 1 (the message names the
+/// CSV -> TrainingSet. A missing column, or a row whose n_vms is not an
+/// integer >= 1, is an Errc::kValidation error (the context names the
 /// row, counting data rows from 1).
-[[nodiscard]] TrainingSet training_set_from_csv(const util::CsvDocument& csv);
+[[nodiscard]] util::Result<TrainingSet> training_set_from_csv(
+    const util::CsvDocument& csv);
 
 /// Serialize fitted models (coefficients + fit quality). Format:
 /// versioned line-oriented text, stable across toolchains.
@@ -36,8 +37,6 @@ void save_models(const TrainedModels& models, std::ostream& os);
 /// (malformed records), Errc::kUnsupported (unknown format version) or
 /// Errc::kIo (unreadable file). The TrainingSet inside the returned
 /// TrainedModels is empty (only coefficients are persisted).
-[[nodiscard]] util::Result<TrainedModels> load_models_result(
-    std::istream& is);
 [[nodiscard]] util::Result<TrainedModels> models_from_string_result(
     const std::string& text);
 [[nodiscard]] util::Result<TrainedModels> load_models_file_result(
@@ -49,7 +48,8 @@ void save_models_file(const TrainedModels& models, const std::string& path);
 // --- Heterogeneous (typed) model -------------------------------------
 void save_hetero_model(const HeteroModel& model, std::ostream& os);
 [[nodiscard]] std::string hetero_model_to_string(const HeteroModel& model);
-[[nodiscard]] HeteroModel load_hetero_model(std::istream& is);
-[[nodiscard]] HeteroModel hetero_model_from_string(const std::string& text);
+/// Same error vocabulary as models_from_string_result.
+[[nodiscard]] util::Result<HeteroModel> hetero_model_from_string_result(
+    const std::string& text);
 
 }  // namespace voprof::model

@@ -109,10 +109,11 @@ class Daemon {
   Service service_;
 };
 
-/// Build a DaemonConfig from the shared `serve` flag set (--socket,
-/// --jobs, --queue-capacity, --default-deadline-ms, --max-deadline-ms,
+/// Build a DaemonConfig from a command line parsed against the shared
+/// `serve` flag set (--socket, which it declares required, --jobs,
+/// --queue-capacity, --default-deadline-ms, --max-deadline-ms,
 /// --train-duration, --seed, --inner-jobs, --enable-test-ops,
-/// --metrics-out). Validation failures are Errc::kValidation.
+/// --metrics-out). Out-of-range values are Errc::kValidation.
 [[nodiscard]] util::Result<DaemonConfig> daemon_config_from_args(
     const util::CliArgs& args);
 

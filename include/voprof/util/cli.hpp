@@ -26,6 +26,8 @@ struct FlagSpec {
   };
   std::string name;  ///< spelling without the leading --
   Kind kind = Kind::kText;
+  bool required = false;  ///< parse() rejects a command line without it
+  std::vector<std::string> choices{};  ///< if any, the only values accepted
 };
 
 class CliArgs {
@@ -33,9 +35,10 @@ class CliArgs {
   /// Parse `tokens` against the declared `flags`: every `--name` must
   /// be declared, every non-switch flag needs a value (a token that
   /// does not start with --), numeric values must parse as their
-  /// kind, and exactly `operands` bare tokens must appear. The first
-  /// violation is an Errc::kValidation error naming the token; an
-  /// unknown flag's error lists the valid ones.
+  /// kind, exactly `operands` bare tokens must appear, then required
+  /// flags must be present and values among their flag's choices. The
+  /// first violation is an Errc::kValidation error naming the token or
+  /// flag; an unknown flag's error lists the valid ones.
   [[nodiscard]] static Result<CliArgs> parse(
       const std::vector<std::string>& tokens,
       const std::vector<FlagSpec>& flags, std::size_t operands = 0);
@@ -46,7 +49,7 @@ class CliArgs {
   }
   [[nodiscard]] bool has(const std::string& name) const noexcept;
 
-  /// Value of --name; throws ContractViolation if absent.
+  /// Value of --name; a precondition: declare the flag required.
   [[nodiscard]] const std::string& get(const std::string& name) const;
   [[nodiscard]] std::string get_or(const std::string& name,
                                    const std::string& fallback) const;

@@ -47,11 +47,12 @@ class CsvDocument {
   /// Primary, non-throwing parse (numeric cells only). Errors carry
   /// Errc::kParse with a "row N" context, or Errc::kIo for unreadable
   /// files (load_result).
-  [[nodiscard]] static Result<CsvDocument> parse_result(std::istream& is);
   [[nodiscard]] static Result<CsvDocument> parse_string_result(
       const std::string& text);
   [[nodiscard]] static Result<CsvDocument> load_result(
-      const std::string& path);
+      const std::string& path) {
+    return load_file_result(path, parse_string_result);
+  }
 
  private:
   std::vector<std::string> header_;

@@ -37,7 +37,9 @@ class IniDocument {
   /// Read + parse a file; I/O failures carry Errc::kIo and parse
   /// errors get the path prefixed to their context ("path:line N").
   [[nodiscard]] static Result<IniDocument> load_result(
-      const std::string& path);
+      const std::string& path) {
+    return load_file_result(path, parse_result);
+  }
 
   [[nodiscard]] const std::vector<IniSection>& sections() const noexcept {
     return sections_;

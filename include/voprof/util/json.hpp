@@ -12,21 +12,14 @@
 /// locale-independent).
 
 #include <cstddef>
-#include <map>
-#include <memory>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-namespace voprof::util {
+#include "voprof/util/result.hpp"
 
-/// Thrown on malformed input text or type-mismatched access.
-class JsonError : public std::runtime_error {
- public:
-  explicit JsonError(const std::string& what) : std::runtime_error(what) {}
-};
+namespace voprof::util {
 
 /// One JSON value (null, bool, number, string, array or object).
 class Json {
@@ -66,7 +59,8 @@ class Json {
     return type_ == Type::kObject;
   }
 
-  /// Typed accessors; throw JsonError on type mismatch.
+  /// Typed accessors; a type mismatch is a precondition failure, so
+  /// code that reads input checks with is_*() first.
   [[nodiscard]] bool as_bool() const;
   [[nodiscard]] double as_number() const;
   [[nodiscard]] const std::string& as_string() const;
@@ -75,7 +69,7 @@ class Json {
 
   /// Object lookup: nullptr when absent (or when not an object).
   [[nodiscard]] const Json* find(std::string_view key) const noexcept;
-  /// Object lookup; throws JsonError when absent.
+  /// Object lookup; a missing key is a precondition failure.
   [[nodiscard]] const Json& at(std::string_view key) const;
 
   /// Append to an array value (value must be an array).
@@ -89,9 +83,22 @@ class Json {
   /// util::format_double.
   [[nodiscard]] std::string dump(int indent = 2) const;
 
-  /// Parse a complete JSON document; trailing non-space input or any
-  /// grammar violation throws JsonError with a byte offset.
-  [[nodiscard]] static Json parse(std::string_view text);
+  /// Deeper nesting is a parse error: it bounds the parser's stack.
+  static constexpr int kMaxDepth = 256;
+
+  /// Parse a complete JSON document. Trailing non-space input, nesting
+  /// deeper than kMaxDepth or any grammar violation is an Errc::kParse
+  /// error whose context is the byte offset ("byte 12").
+  [[nodiscard]] static Result<Json> parse_result(std::string_view text);
+  /// Read and parse a file: Errc::kIo when it cannot be opened,
+  /// otherwise as parse_result, with the path in the error context.
+  [[nodiscard]] static Result<Json> load_result(const std::string& path) {
+    return load_file_result(path, parse_result);
+  }
+  /// parse_result, throwing ContractViolation (see result.hpp).
+  [[nodiscard]] static Json parse(std::string_view text) {
+    return parse_result(text).value_or_throw();
+  }
 
  private:
   void write(std::string& out, int indent, int depth) const;

@@ -1,22 +1,20 @@
 #pragma once
 /// \file result.hpp
-/// The single error-reporting vocabulary of the public loader APIs.
+/// The single error-reporting vocabulary of every reader of outside
+/// input. A consumer that handles errors (voprofd turns a malformed
+/// scenario into a structured `bad_request` response, not a stack
+/// unwind) needs the error as a value: Result<T> carries either the
+/// value or an Error with a machine-readable code, a human-readable
+/// message and a context telling the caller where the problem was.
 ///
-/// Before PR 5 the loaders reported failure three different ways:
-/// bool returns (util::parse_double), exceptions (ContractViolation
-/// from VOPROF_REQUIRE) and ad-hoc sentinel values. Consumers that
-/// want to *handle* errors — the voprofd request handlers must turn a
-/// malformed scenario into a structured `bad_request` response, not a
-/// stack unwind — need the error as a value. Result<T> carries either
-/// the parsed value or an Error with a machine-readable code, a
-/// human-readable message and a `file:line`-style context telling the
-/// caller where the problem was detected.
-///
-/// Convention: `*_result` functions are the loader API and never throw
-/// on input errors. A caller that wants an exception unwraps with
-/// `value_or_throw()`; there are no separate throwing loaders, except
-/// ScenarioSpec::parse|load, which the end-to-end benchmark driver
-/// (e2e/bench) calls.
+/// Convention: an input error (in a file, a request line or a command
+/// line) leaves a reader only as a Result; no reader throws on bad
+/// input. VOPROF_REQUIRE is for programmer errors, such as
+/// Json::as_number() on a string or CliArgs::get() on a flag the
+/// command does not declare required. A caller that wants an exception
+/// unwraps with `value_or_throw()`. Two throwing wrappers remain because
+/// the end-to-end benchmark driver (e2e/bench) calls them:
+/// ScenarioSpec::parse|load and Json::parse.
 
 #include <optional>
 #include <string>
@@ -95,6 +93,24 @@ class [[nodiscard]] Result {
   std::optional<T> value_;
   Error error_;
 };
+
+/// The contents of the file at `path`; Errc::kIo, with the path as the
+/// context, when it cannot be opened.
+[[nodiscard]] Result<std::string> read_file_result(const std::string& path);
+
+/// The one file loader: read `path` and hand its text to `parse`, whose
+/// error gets the path prefixed to its context ("scenario.conf:12").
+template <typename Parse>
+[[nodiscard]] auto load_file_result(const std::string& path, Parse parse)
+    -> decltype(parse(std::string())) {
+  const Result<std::string> text = read_file_result(path);
+  if (!text.ok()) return text.error();
+  auto parsed = parse(text.value());
+  if (parsed.ok()) return parsed;
+  Error err = parsed.error();
+  err.context = path + ":" + err.context;
+  return err;
+}
 
 }  // namespace voprof::util
 

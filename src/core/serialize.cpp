@@ -1,6 +1,7 @@
 #include "voprof/core/serialize.hpp"
 
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "voprof/util/assert.hpp"
@@ -21,37 +22,68 @@ void write_fit(std::ostream& os, const std::string& name,
   os << ' ' << f.residual_rms << ' ' << f.r_squared << '\n';
 }
 
-LinearFit read_fit_n(std::istream& is, const std::string& expected_name,
-                     std::size_t n_coef) {
-  std::string tag, name;
-  VOPROF_REQUIRE_MSG(static_cast<bool>(is >> tag >> name),
-                     "truncated model file");
-  VOPROF_REQUIRE_MSG(tag == "fit", "expected a 'fit' record");
-  VOPROF_REQUIRE_MSG(name == expected_name,
-                     "unexpected fit record: got '" + name + "', want '" +
-                         expected_name + "'");
-  LinearFit f;
-  f.coef.resize(n_coef);
-  for (double& c : f.coef) {
-    VOPROF_REQUIRE_MSG(static_cast<bool>(is >> c), "truncated fit record");
+/// Consume the first line: an error unless it is `header`.
+std::optional<util::Error> header_error(std::istream& is, const char* header) {
+  std::string line;
+  if (!std::getline(is, line)) {
+    return util::Error{util::Errc::kParse, "empty model file", "models:1"};
   }
-  VOPROF_REQUIRE(static_cast<bool>(is >> f.residual_rms >> f.r_squared));
-  return f;
+  if (line == header) return std::nullopt;
+  return util::Error{util::Errc::kUnsupported,
+                     "unsupported model file header: '" + line + "'",
+                     "models:1"};
 }
 
-LinearFit read_fit(std::istream& is, const std::string& expected_name) {
-  return read_fit_n(is, expected_name, kMetricCount + 1);
+util::Error malformed(std::string message) {
+  return util::Error{util::Errc::kParse, std::move(message), "models"};
+}
+
+/// Read one `fit NAME coef... rms r2` record per entry of `names`, in
+/// that order, each with `n_coef` coefficients.
+util::Result<std::vector<LinearFit>> read_fits(
+    std::istream& is, const std::vector<std::string>& names,
+    std::size_t n_coef) {
+  std::vector<LinearFit> fits(names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    std::string tag, name;
+    if (!(is >> tag >> name)) return malformed("truncated model file");
+    if (tag != "fit") return malformed("expected a 'fit' record");
+    if (name != names[i]) {
+      return malformed("unexpected fit record: got '" + name + "', want '" +
+                       names[i] + "'");
+    }
+    LinearFit& f = fits[i];
+    f.coef.resize(n_coef);
+    for (double& c : f.coef) is >> c;  // a failed read fails the rest
+    if (!(is >> f.residual_rms >> f.r_squared)) {
+      return malformed("truncated fit record " + name);
+    }
+  }
+  return fits;
 }
 
 const std::array<std::string, kMetricCount> kMetricKeys = {"cpu", "mem",
                                                            "io", "bw"};
 
+/// Record names in the order the writers emit them: the per-metric
+/// fits under the prefix `metric`, then the Dom0 and hypervisor fits
+/// under `cpu`.
+std::vector<std::string> fit_names(const std::string& metric,
+                                   const std::string& cpu) {
+  return {metric + "cpu", metric + "mem", metric + "io", metric + "bw",
+          cpu + "dom0_cpu", cpu + "hyp_cpu"};
+}
+
+/// The columns of an observation CSV, in TrainingRow order.
+const std::array<const char*, 11> kObservationColumns = {
+    "n_vms",  "vm_cpu", "vm_mem", "vm_io",    "vm_bw",  "pm_cpu",
+    "pm_mem", "pm_io",  "pm_bw",  "dom0_cpu", "hyp_cpu"};
+
 }  // namespace
 
 util::CsvDocument training_set_to_csv(const TrainingSet& data) {
-  util::CsvDocument csv({"n_vms", "vm_cpu", "vm_mem", "vm_io", "vm_bw",
-                         "pm_cpu", "pm_mem", "pm_io", "pm_bw", "dom0_cpu",
-                         "hyp_cpu"});
+  util::CsvDocument csv(std::vector<std::string>(kObservationColumns.begin(),
+                                                kObservationColumns.end()));
   for (const TrainingRow& r : data.rows()) {
     csv.add_row({static_cast<double>(r.n_vms), r.vm_sum.cpu, r.vm_sum.mem,
                  r.vm_sum.io, r.vm_sum.bw, r.pm.cpu, r.pm.mem, r.pm.io,
@@ -60,21 +92,32 @@ util::CsvDocument training_set_to_csv(const TrainingSet& data) {
   return csv;
 }
 
-TrainingSet training_set_from_csv(const util::CsvDocument& csv) {
+util::Result<TrainingSet> training_set_from_csv(
+    const util::CsvDocument& csv) {
+  std::array<std::size_t, kObservationColumns.size()> col{};
+  for (std::size_t c = 0; c < col.size(); ++c) {
+    if (!csv.has_column(kObservationColumns[c])) {
+      return util::Error{util::Errc::kValidation,
+                         std::string("observation CSV has no column '") +
+                             kObservationColumns[c] + "'",
+                         "header"};
+    }
+    col[c] = csv.column(kObservationColumns[c]);
+  }
   TrainingSet data;
   for (std::size_t i = 0; i < csv.row_count(); ++i) {
+    const auto at = [&](std::size_t c) { return csv.at(i, col[c]); };
     TrainingRow r;
-    const double n_vms = csv.at(i, "n_vms");
-    VOPROF_REQUIRE_MSG(util::exact_int(n_vms, r.n_vms) && r.n_vms >= 1,
-                       "observation row " + std::to_string(i + 1) +
-                           ": n_vms must be an integer >= 1, got " +
-                           util::format_double(n_vms));
-    r.vm_sum = UtilVec{csv.at(i, "vm_cpu"), csv.at(i, "vm_mem"),
-                       csv.at(i, "vm_io"), csv.at(i, "vm_bw")};
-    r.pm = UtilVec{csv.at(i, "pm_cpu"), csv.at(i, "pm_mem"),
-                   csv.at(i, "pm_io"), csv.at(i, "pm_bw")};
-    r.dom0_cpu = csv.at(i, "dom0_cpu");
-    r.hyp_cpu = csv.at(i, "hyp_cpu");
+    if (!util::exact_int(at(0), r.n_vms) || r.n_vms < 1) {
+      return util::Error{util::Errc::kValidation,
+                         "n_vms must be an integer >= 1, got " +
+                             util::format_double(at(0)),
+                         "observation row " + std::to_string(i + 1)};
+    }
+    r.vm_sum = UtilVec{at(1), at(2), at(3), at(4)};
+    r.pm = UtilVec{at(5), at(6), at(7), at(8)};
+    r.dom0_cpu = at(9);
+    r.hyp_cpu = at(10);
     data.add(std::move(r));
   }
   return data;
@@ -104,61 +147,25 @@ std::string models_to_string(const TrainedModels& models) {
   return os.str();
 }
 
-util::Result<TrainedModels> load_models_result(std::istream& is) {
-  std::string header;
-  if (!std::getline(is, header)) {
-    return util::Error{util::Errc::kParse, "empty model file", "models:1"};
-  }
-  if (header != kFormatHeader) {
-    return util::Error{util::Errc::kUnsupported,
-                       "unsupported model file header: '" + header + "'",
-                       "models:1"};
-  }
-  // The record readers report malformed input through ContractViolation
-  // (they predate Result); fold those into the single error surface.
-  try {
-    std::array<LinearFit, kMetricCount> single_fits;
-    for (std::size_t m = 0; m < kMetricCount; ++m) {
-      single_fits[m] = read_fit(is, "single." + kMetricKeys[m]);
-    }
-    LinearFit dom0 = read_fit(is, "single.dom0_cpu");
-    LinearFit hyp = read_fit(is, "single.hyp_cpu");
-    std::array<LinearFit, kMetricCount> overhead;
-    for (std::size_t m = 0; m < kMetricCount; ++m) {
-      overhead[m] = read_fit(is, "multi.o." + kMetricKeys[m]);
-    }
-    LinearFit dom0_o = read_fit(is, "multi.o.dom0_cpu");
-    LinearFit hyp_o = read_fit(is, "multi.o.hyp_cpu");
-
-    TrainedModels out;
-    out.single = SingleVmModel::from_fits(single_fits, dom0, hyp);
-    out.multi = MultiVmModel::from_parts(out.single, std::move(overhead),
-                                         std::move(dom0_o), std::move(hyp_o));
-    return out;
-  } catch (const util::ContractViolation& e) {
-    return util::Error{util::Errc::kParse, e.what(), "models"};
-  }
-}
-
 util::Result<TrainedModels> models_from_string_result(
     const std::string& text) {
   std::istringstream is(text);
-  return load_models_result(is);
+  if (auto err = header_error(is, kFormatHeader)) return *err;
+  std::vector<std::string> names = fit_names("single.", "single.");
+  for (std::string& n : fit_names("multi.o.", "multi.o.")) names.push_back(n);
+  util::Result<std::vector<LinearFit>> fits =
+      read_fits(is, names, kMetricCount + 1);
+  if (!fits.ok()) return fits.error();
+  const std::vector<LinearFit>& f = fits.value();
+  TrainedModels out;
+  out.single = SingleVmModel::from_fits({f[0], f[1], f[2], f[3]}, f[4], f[5]);
+  out.multi = MultiVmModel::from_parts(out.single, {f[6], f[7], f[8], f[9]},
+                                       f[10], f[11]);
+  return out;
 }
 
 util::Result<TrainedModels> load_models_file_result(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.good()) {
-    return util::Error{util::Errc::kIo, "cannot open model file for reading",
-                       path};
-  }
-  util::Result<TrainedModels> parsed = load_models_result(f);
-  if (!parsed.ok()) {
-    util::Error err = parsed.error();
-    err.context = path + " (" + err.context + ")";
-    return err;
-  }
-  return parsed;
+  return util::load_file_result(path, models_from_string_result);
 }
 
 void save_models_file(const TrainedModels& models, const std::string& path) {
@@ -189,36 +196,29 @@ std::string hetero_model_to_string(const HeteroModel& model) {
   return os.str();
 }
 
-HeteroModel load_hetero_model(std::istream& is) {
-  std::string header;
-  VOPROF_REQUIRE_MSG(static_cast<bool>(std::getline(is, header)),
-                     "empty typed-model file");
-  VOPROF_REQUIRE_MSG(header == kHeteroHeader,
-                     "unsupported typed-model header: '" + header + "'");
-  std::string types_line;
-  VOPROF_REQUIRE_MSG(static_cast<bool>(std::getline(is, types_line)),
-                     "missing types line");
-  std::istringstream ts(types_line);
-  std::string tag;
-  VOPROF_REQUIRE(static_cast<bool>(ts >> tag) && tag == "types");
-  std::vector<std::string> types;
-  std::string t;
-  while (ts >> t) types.push_back(t);
-  VOPROF_REQUIRE_MSG(!types.empty(), "typed model has no types");
-  const std::size_t n_coef = types.size() * kMetricCount + kMetricCount + 2;
-  std::array<LinearFit, kMetricCount> pm_fits;
-  for (std::size_t m = 0; m < kMetricCount; ++m) {
-    pm_fits[m] = read_fit_n(is, "pm." + kMetricKeys[m], n_coef);
-  }
-  LinearFit dom0 = read_fit_n(is, "dom0_cpu", n_coef);
-  LinearFit hyp = read_fit_n(is, "hyp_cpu", n_coef);
-  return HeteroModel::from_parts(std::move(types), std::move(pm_fits),
-                                 std::move(dom0), std::move(hyp));
-}
-
-HeteroModel hetero_model_from_string(const std::string& text) {
+util::Result<HeteroModel> hetero_model_from_string_result(
+    const std::string& text) {
   std::istringstream is(text);
-  return load_hetero_model(is);
+  if (auto err = header_error(is, kHeteroHeader)) return *err;
+  std::string types_line, tag;
+  std::getline(is, types_line);
+  std::istringstream ts(types_line);
+  std::vector<std::string> types;
+  if (ts >> tag && tag == "types") {
+    for (std::string t; ts >> t;) types.push_back(t);
+  }
+  if (types.empty()) {
+    return util::Error{util::Errc::kParse,
+                       "expected a 'types' line naming at least one type",
+                       "models:2"};
+  }
+  const std::size_t n_coef = types.size() * kMetricCount + kMetricCount + 2;
+  util::Result<std::vector<LinearFit>> fits =
+      read_fits(is, fit_names("pm.", ""), n_coef);
+  if (!fits.ok()) return fits.error();
+  const std::vector<LinearFit>& f = fits.value();
+  return HeteroModel::from_parts(std::move(types), {f[0], f[1], f[2], f[3]},
+                                 f[4], f[5]);
 }
 
 }  // namespace voprof::model

@@ -50,14 +50,14 @@ const char* api_error_name(ApiError code) noexcept {
 }
 
 util::Result<Request> parse_request(const std::string& line) {
-  util::Json doc;
-  try {
-    doc = util::Json::parse(line);
-  } catch (const util::JsonError& e) {
-    return util::Error{util::Errc::kParse,
-                       std::string("malformed request JSON: ") + e.what(),
-                       "request"};
+  util::Result<util::Json> parsed = util::Json::parse_result(line);
+  if (!parsed.ok()) {
+    util::Error err = parsed.error();
+    err.message = "malformed request JSON: " + err.message;
+    err.context = "request " + err.context;
+    return err;
   }
+  const util::Json doc = std::move(parsed).take();
   if (!doc.is_object()) {
     return util::Error{util::Errc::kValidation,
                        "request must be a JSON object", "request"};

@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include "voprof/obs/trace.hpp"
+#include "voprof/runner/runner.hpp"
 
 namespace voprof::serve {
 
@@ -342,14 +343,12 @@ void Daemon::final_flush() {
 
 util::Result<DaemonConfig> daemon_config_from_args(
     const util::CliArgs& args) {
+  const util::Result<runner::RunOptions> run = runner::options_from_cli(args);
+  if (!run.ok()) return run.error();
   DaemonConfig config;
-  if (!args.has("socket")) {
-    return util::Error{util::Errc::kValidation,
-                       "--socket PATH is required", "serve"};
-  }
   config.socket_path = args.get("socket");
   config.metrics_out = args.get_or("metrics-out", "");
-  config.service.jobs = args.get_int("jobs", 0);
+  config.service.jobs = run.value().jobs;
   const int capacity = args.get_int("queue-capacity", 64);
   if (capacity < 1) {
     return util::Error{util::Errc::kValidation,
@@ -373,6 +372,10 @@ util::Result<DaemonConfig> daemon_config_from_args(
   config.service.default_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
   config.service.inner_jobs = args.get_int("inner-jobs", 1);
+  if (config.service.inner_jobs < 0) {
+    return util::Error{util::Errc::kValidation, "--inner-jobs must be >= 0",
+                       "serve"};
+  }
   config.service.enable_test_ops = args.get_bool("enable-test-ops");
   return config;
 }

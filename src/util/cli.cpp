@@ -68,6 +68,17 @@ Result<CliArgs> CliArgs::parse(const std::vector<std::string>& tokens,
                    " argument(s), got " +
                    std::to_string(out.operands_.size()));
   }
+  for (const FlagSpec& f : flags) {
+    if (f.required && !out.has(f.name)) {
+      return invalid("missing required flag --" + f.name);
+    }
+    const auto it = out.values_.find(f.name);
+    if (it != out.values_.end() && !f.choices.empty() &&
+        std::count(f.choices.begin(), f.choices.end(), it->second) == 0) {
+      return invalid("flag --" + f.name + " does not accept '" + it->second +
+                     "'");
+    }
+  }
   return out;
 }
 

@@ -97,7 +97,8 @@ std::vector<std::string> split_line(const std::string& line) {
 
 }  // namespace
 
-Result<CsvDocument> CsvDocument::parse_result(std::istream& is) {
+Result<CsvDocument> CsvDocument::parse_string_result(const std::string& text) {
+  std::istringstream is(text);
   std::string line;
   if (!std::getline(is, line)) {
     return Error{Errc::kParse, "CSV input is empty", "row 1"};
@@ -135,25 +136,6 @@ Result<CsvDocument> CsvDocument::parse_result(std::istream& is) {
     doc.rows_.push_back(std::move(row));
   }
   return doc;
-}
-
-Result<CsvDocument> CsvDocument::parse_string_result(const std::string& text) {
-  std::istringstream is(text);
-  return parse_result(is);
-}
-
-Result<CsvDocument> CsvDocument::load_result(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.good()) {
-    return Error{Errc::kIo, "cannot open CSV for reading", path};
-  }
-  Result<CsvDocument> parsed = parse_result(f);
-  if (!parsed.ok()) {
-    Error err = parsed.error();
-    err.context = path + ":" + err.context;
-    return err;
-  }
-  return parsed;
 }
 
 }  // namespace voprof::util

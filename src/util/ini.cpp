@@ -1,7 +1,6 @@
 #include "voprof/util/ini.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 
 #include "voprof/util/assert.hpp"
@@ -105,22 +104,6 @@ Result<IniDocument> IniDocument::parse_result(const std::string& text) {
     doc.sections_.back().entries.emplace_back(key, value);
   }
   return doc;
-}
-
-Result<IniDocument> IniDocument::load_result(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.good()) {
-    return Error{Errc::kIo, "cannot open config", path};
-  }
-  std::ostringstream os;
-  os << f.rdbuf();
-  Result<IniDocument> parsed = parse_result(os.str());
-  if (!parsed.ok()) {
-    Error err = parsed.error();
-    err.context = path + ":" + err.context;
-    return err;
-  }
-  return parsed;
 }
 
 std::vector<const IniSection*> IniDocument::of_kind(

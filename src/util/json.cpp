@@ -4,39 +4,12 @@
 #include <cmath>
 #include <cstdio>
 
+#include "voprof/util/assert.hpp"
 #include "voprof/util/numeric.hpp"
 
 namespace voprof::util {
 
 namespace {
-
-[[noreturn]] void fail(const std::string& what, std::size_t offset) {
-  throw JsonError("JSON parse error at byte " + std::to_string(offset) + ": " +
-                  what);
-}
-
-const char* type_name(Json::Type t) {
-  switch (t) {
-    case Json::Type::kNull:
-      return "null";
-    case Json::Type::kBool:
-      return "bool";
-    case Json::Type::kNumber:
-      return "number";
-    case Json::Type::kString:
-      return "string";
-    case Json::Type::kArray:
-      return "array";
-    case Json::Type::kObject:
-      return "object";
-  }
-  return "?";
-}
-
-[[noreturn]] void type_error(const char* wanted, Json::Type got) {
-  throw JsonError(std::string("JSON type mismatch: wanted ") + wanted +
-                  ", value is " + type_name(got));
-}
 
 void write_escaped(std::string& out, const std::string& s) {
   out += '"';
@@ -76,19 +49,30 @@ void write_escaped(std::string& out, const std::string& s) {
   out += '"';
 }
 
-/// Recursive-descent parser over a string_view with a cursor.
+/// Recursive-descent parser over a string_view with a cursor. Each
+/// step returns false after recording the first error, so a malformed
+/// document unwinds without an exception.
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Json run() {
-    Json v = value();
+  Result<Json> run() {
+    Json v;
+    if (!value(v, 0)) return error_;
     skip_space();
-    if (pos_ != text_.size()) fail("trailing characters", pos_);
-    return v;
+    if (pos_ == text_.size()) return v;
+    fail("trailing characters", pos_);
+    return error_;
   }
 
  private:
+  /// Record the error; false, so a step can `return fail(...)`.
+  bool fail(std::string what, std::size_t offset) {
+    error_ = Error{Errc::kParse, std::move(what),
+                   "byte " + std::to_string(offset)};
+    return false;
+  }
+
   void skip_space() {
     while (pos_ < text_.size()) {
       const char c = text_[pos_];
@@ -97,49 +81,66 @@ class Parser {
     }
   }
 
-  char peek() {
-    if (pos_ >= text_.size()) fail("unexpected end of input", pos_);
-    return text_[pos_];
-  }
+  bool at_end() const { return pos_ >= text_.size(); }
 
-  void expect(char c) {
-    if (peek() != c) {
-      fail(std::string("expected '") + c + "', got '" + peek() + "'", pos_);
+  bool expect(char c) {
+    if (at_end()) return fail("unexpected end of input", pos_);
+    if (text_[pos_] != c) {
+      return fail(std::string("expected '") + c + "', got '" + text_[pos_] +
+                      "'",
+                  pos_);
     }
     ++pos_;
-  }
-
-  bool consume_literal(std::string_view lit) {
-    if (text_.substr(pos_, lit.size()) != lit) return false;
-    pos_ += lit.size();
     return true;
   }
 
-  Json value() {
+  /// After an element: ',' means another follows, `close` ends the
+  /// container (`done`).
+  bool next_or_close(char close, bool& done) {
     skip_space();
-    const char c = peek();
-    switch (c) {
+    if (at_end()) return fail("unexpected end of input", pos_);
+    const char c = text_[pos_++];
+    done = c == close;
+    if (done || c == ',') return true;
+    return fail(std::string("expected ',' or '") + close + "'", pos_ - 1);
+  }
+
+  bool literal(std::string_view lit, Json v, Json& out) {
+    if (text_.substr(pos_, lit.size()) != lit) {
+      return fail("invalid literal", pos_);
+    }
+    pos_ += lit.size();
+    out = std::move(v);
+    return true;
+  }
+
+  /// `depth` counts the arrays and objects that enclose this value.
+  bool value(Json& out, int depth) {
+    skip_space();
+    if (at_end()) return fail("unexpected end of input", pos_);
+    switch (text_[pos_]) {
       case '{':
-        return object();
+        return container(out, depth, '}');
       case '[':
-        return array();
-      case '"':
-        return Json(string());
+        return container(out, depth, ']');
+      case '"': {
+        std::string s;
+        if (!string(s)) return false;
+        out = Json(std::move(s));
+        return true;
+      }
       case 't':
-        if (consume_literal("true")) return Json(true);
-        fail("invalid literal", pos_);
+        return literal("true", Json(true), out);
       case 'f':
-        if (consume_literal("false")) return Json(false);
-        fail("invalid literal", pos_);
+        return literal("false", Json(false), out);
       case 'n':
-        if (consume_literal("null")) return Json(nullptr);
-        fail("invalid literal", pos_);
+        return literal("null", Json(nullptr), out);
       default:
-        return number();
+        return number(out);
     }
   }
 
-  Json number() {
+  bool number(Json& out) {
     const std::size_t start = pos_;
     if (pos_ < text_.size() && (text_[pos_] == '-' || text_[pos_] == '+')) {
       ++pos_;
@@ -153,155 +154,124 @@ class Parser {
         break;
       }
     }
-    double out = 0.0;
+    double v = 0.0;
     const char* first = text_.data() + start;
     const char* last = text_.data() + pos_;
-    const auto [end, ec] = std::from_chars(first, last, out);
+    const auto [end, ec] = std::from_chars(first, last, v);
     if (ec != std::errc{} || end != last || first == last) {
-      fail("malformed number", start);
+      return fail("malformed number", start);
     }
-    return Json(out);
+    out = Json(v);
+    return true;
   }
 
-  std::string string() {
-    expect('"');
-    std::string out;
+  bool string(std::string& out) {
+    if (!expect('"')) return false;
     for (;;) {
-      if (pos_ >= text_.size()) fail("unterminated string", pos_);
+      if (at_end()) return fail("unterminated string", pos_);
       const char c = text_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') return true;
       if (c != '\\') {
         if (static_cast<unsigned char>(c) < 0x20) {
-          fail("raw control character in string", pos_ - 1);
+          return fail("raw control character in string", pos_ - 1);
         }
         out += c;
         continue;
       }
-      if (pos_ >= text_.size()) fail("unterminated escape", pos_);
+      if (at_end()) return fail("unterminated escape", pos_);
       const char e = text_[pos_++];
-      switch (e) {
-        case '"':
-          out += '"';
-          break;
-        case '\\':
-          out += '\\';
-          break;
-        case '/':
-          out += '/';
-          break;
-        case 'n':
-          out += '\n';
-          break;
-        case 't':
-          out += '\t';
-          break;
-        case 'r':
-          out += '\r';
-          break;
-        case 'b':
-          out += '\b';
-          break;
-        case 'f':
-          out += '\f';
-          break;
-        case 'u': {
-          if (pos_ + 4 > text_.size()) fail("truncated \\u escape", pos_);
-          unsigned cp = 0;
-          const char* first = text_.data() + pos_;
-          const auto [end, ec] = std::from_chars(first, first + 4, cp, 16);
-          if (ec != std::errc{} || end != first + 4) {
-            fail("malformed \\u escape", pos_);
-          }
-          pos_ += 4;
-          // Encode the code point as UTF-8 (surrogate pairs are passed
-          // through as two 3-byte sequences; the harness never emits
-          // them, this is read-side tolerance only).
-          if (cp < 0x80) {
-            out += static_cast<char>(cp);
-          } else if (cp < 0x800) {
-            out += static_cast<char>(0xC0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-          } else {
-            out += static_cast<char>(0xE0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
-            out += static_cast<char>(0x80 | (cp & 0x3F));
-          }
-          break;
-        }
-        default:
-          fail("unknown escape", pos_ - 1);
+      constexpr std::string_view kEscaped = "\"\\/ntrbf";
+      constexpr std::string_view kMeant = "\"\\/\n\t\r\b\f";
+      if (const std::size_t k = kEscaped.find(e); k != std::string_view::npos) {
+        out += kMeant[k];
+        continue;
+      }
+      if (e != 'u') return fail("unknown escape", pos_ - 1);
+      if (pos_ + 4 > text_.size()) return fail("truncated \\u escape", pos_);
+      unsigned cp = 0;
+      const char* first = text_.data() + pos_;
+      const auto [end, ec] = std::from_chars(first, first + 4, cp, 16);
+      if (ec != std::errc{} || end != first + 4) {
+        return fail("malformed \\u escape", pos_);
+      }
+      pos_ += 4;
+      // Encode the code point as UTF-8 (surrogate pairs are passed
+      // through as two 3-byte sequences; the harness never emits them,
+      // this is read-side tolerance only).
+      if (cp < 0x80) {
+        out += static_cast<char>(cp);
+      } else if (cp < 0x800) {
+        out += static_cast<char>(0xC0 | (cp >> 6));
+        out += static_cast<char>(0x80 | (cp & 0x3F));
+      } else {
+        out += static_cast<char>(0xE0 | (cp >> 12));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (cp & 0x3F));
       }
     }
   }
 
-  Json array() {
-    expect('[');
-    Json out = Json::array();
+  /// An array (`close` is ']') or an object (`close` is '}').
+  bool container(Json& out, int depth, char close) {
+    if (depth == Json::kMaxDepth) {
+      return fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                      " levels",
+                  pos_);
+    }
+    ++pos_;  // the opening bracket
+    out = close == ']' ? Json::array() : Json::object();
     skip_space();
-    if (peek() == ']') {
+    if (!at_end() && text_[pos_] == close) {
       ++pos_;
-      return out;
+      return true;
     }
-    for (;;) {
-      out.push_back(value());
-      skip_space();
-      const char c = peek();
-      ++pos_;
-      if (c == ']') return out;
-      if (c != ',') fail("expected ',' or ']'", pos_ - 1);
+    for (bool done = false; !done;) {
+      Json item;
+      if (close == ']') {
+        if (!value(item, depth + 1)) return false;
+        out.push_back(std::move(item));
+      } else {
+        skip_space();
+        std::string key;
+        if (!string(key)) return false;
+        skip_space();
+        if (!expect(':') || !value(item, depth + 1)) return false;
+        out.set(std::move(key), std::move(item));
+      }
+      if (!next_or_close(close, done)) return false;
     }
-  }
-
-  Json object() {
-    expect('{');
-    Json out = Json::object();
-    skip_space();
-    if (peek() == '}') {
-      ++pos_;
-      return out;
-    }
-    for (;;) {
-      skip_space();
-      std::string key = string();
-      skip_space();
-      expect(':');
-      out.set(std::move(key), value());
-      skip_space();
-      const char c = peek();
-      ++pos_;
-      if (c == '}') return out;
-      if (c != ',') fail("expected ',' or '}'", pos_ - 1);
-    }
+    return true;
   }
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  Error error_;
 };
 
 }  // namespace
 
 bool Json::as_bool() const {
-  if (type_ != Type::kBool) type_error("bool", type_);
+  VOPROF_REQUIRE(type_ == Type::kBool);
   return bool_;
 }
 
 double Json::as_number() const {
-  if (type_ != Type::kNumber) type_error("number", type_);
+  VOPROF_REQUIRE(type_ == Type::kNumber);
   return num_;
 }
 
 const std::string& Json::as_string() const {
-  if (type_ != Type::kString) type_error("string", type_);
+  VOPROF_REQUIRE(type_ == Type::kString);
   return str_;
 }
 
 const Json::Array& Json::as_array() const {
-  if (type_ != Type::kArray) type_error("array", type_);
+  VOPROF_REQUIRE(type_ == Type::kArray);
   return arr_;
 }
 
 const Json::Object& Json::as_object() const {
-  if (type_ != Type::kObject) type_error("object", type_);
+  VOPROF_REQUIRE(type_ == Type::kObject);
   return obj_;
 }
 
@@ -315,19 +285,18 @@ const Json* Json::find(std::string_view key) const noexcept {
 
 const Json& Json::at(std::string_view key) const {
   const Json* v = find(key);
-  if (v == nullptr) {
-    throw JsonError("JSON object has no key \"" + std::string(key) + '"');
-  }
+  VOPROF_REQUIRE_MSG(v != nullptr,
+                     "JSON object has no key \"" + std::string(key) + '"');
   return *v;
 }
 
 void Json::push_back(Json v) {
-  if (type_ != Type::kArray) type_error("array", type_);
+  VOPROF_REQUIRE(type_ == Type::kArray);
   arr_.push_back(std::move(v));
 }
 
 void Json::set(std::string key, Json v) {
-  if (type_ != Type::kObject) type_error("object", type_);
+  VOPROF_REQUIRE(type_ == Type::kObject);
   for (auto& [k, existing] : obj_) {
     if (k == key) {
       existing = std::move(v);
@@ -399,6 +368,8 @@ std::string Json::dump(int indent) const {
   return out;
 }
 
-Json Json::parse(std::string_view text) { return Parser(text).run(); }
+Result<Json> Json::parse_result(std::string_view text) {
+  return Parser(text).run();
+}
 
 }  // namespace voprof::util

@@ -1,5 +1,8 @@
 #include "voprof/util/result.hpp"
 
+#include <fstream>
+#include <sstream>
+
 namespace voprof::util {
 
 const char* errc_name(Errc code) noexcept {
@@ -23,6 +26,14 @@ std::string Error::to_string() const {
   if (!message.empty()) out += ": " + message;
   if (!context.empty()) out += " (at " + context + ")";
   return out;
+}
+
+Result<std::string> read_file_result(const std::string& path) {
+  std::ifstream in(path);
+  if (!in) return Error{Errc::kIo, "cannot open file for reading", path};
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
 }
 
 }  // namespace voprof::util

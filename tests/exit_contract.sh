@@ -1,0 +1,57 @@
+#!/bin/sh
+# How a voprof binary reports a bad command line or a bad input file
+# (tools/command_line.hpp, voprof/util/result.hpp).
+#
+#   sh tests/exit_contract.sh usage BINARY ARG...
+#       A command line the flag table rejects (a missing required flag,
+#       a value outside a flag's choices, a negative --jobs): exit 2,
+#       nothing on stdout, the error and "usage:" on stderr, before any
+#       work runs.
+#   sh tests/exit_contract.sh RC BINARY ARG...
+#       An input the program cannot read: exit RC, and exactly one line
+#       "voprofctl: <code> error: ... (at ...)" on stderr, never a
+#       "precondition failed" report.
+#
+# Runs in a fresh directory holding these fixtures, which ARGs may name:
+#   events5.json   a voprof trace whose traceEvents is 5
+#   no_column.csv  an observation CSV without the hyp_cpu column
+#   malformed.json a truncated JSON document
+set -u
+mode=$1 bin=$2
+shift 2
+want=$mode
+[ "$mode" = usage ] && want=2
+
+dir=$(mktemp -d)
+trap 'rm -rf "$dir"' EXIT
+trap 'exit 1' HUP INT TERM
+cd "$dir" || exit 1
+printf '{"schema":"voprof-trace-1","traceEvents":5}\n' >events5.json
+printf 'n_vms,vm_cpu,vm_mem,vm_io,vm_bw,pm_cpu,pm_mem,pm_io,pm_bw,dom0_cpu\n' \
+  >no_column.csv
+printf '1,10,100,5,50,30,800,20,60,17\n' >>no_column.csv
+printf '{"schema":"voprof-bench-1","benchmarks":[' >malformed.json
+
+out=$("$bin" "$@" 2>stderr.txt)
+rc=$?
+fail() {
+  echo "FAIL: $bin $* -> exit $rc: $why"
+  echo "stdout: $out"
+  echo "stderr: $(cat stderr.txt)"
+  exit 1
+}
+why="want exit $want"
+[ "$rc" = "$want" ] || fail "$@"
+if grep -q 'precondition failed' stderr.txt; then
+  why="a precondition reported an input error"
+  fail "$@"
+fi
+if [ "$mode" = usage ]; then
+  why="want empty stdout and usage on stderr"
+  [ -z "$out" ] && grep -q '^usage: ' stderr.txt || fail "$@"
+else
+  why="want one 'voprofctl: <code> error: ... (at ...)' line on stderr"
+  [ "$(wc -l <stderr.txt)" = 1 ] &&
+    grep -Eq '^voprofctl: [a-z]+ error: .* \(at .+\)$' stderr.txt || fail "$@"
+fi
+exit 0

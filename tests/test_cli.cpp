@@ -83,6 +83,30 @@ TEST(Cli, MissingRequiredThrows) {
   EXPECT_THROW((void)a.get("required"), ContractViolation);
 }
 
+TEST(Cli, RequiredFlagsAndChoices) {
+  const std::vector<FlagSpec> flags = {
+      {"out", Kind::kText, true},
+      {"format", Kind::kText, false, {"table", "csv", "json"}}};
+  const auto message = [&flags](const std::vector<std::string>& tokens) {
+    const Result<CliArgs> r = CliArgs::parse(tokens, flags);
+    EXPECT_FALSE(r.ok());
+    return r.ok() ? std::string() : r.error().message;
+  };
+  EXPECT_EQ(message({}), "missing required flag --out");
+  EXPECT_EQ(message({"--out", "o", "--format", "xml"}),
+            "flag --format does not accept 'xml'");
+  // Checked after the tokens: a bad token is the error reported.
+  EXPECT_NE(message({"--format", "xml", "--nope"}).find("unknown flag --nope"),
+            std::string::npos);
+  EXPECT_NE(message({"stray"}).find("'stray'"), std::string::npos);
+  const Result<CliArgs> ok =
+      CliArgs::parse({"--out", "o", "--format", "csv"}, flags);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_EQ(ok.value().get("format"), "csv");
+  // An optional flag with choices may be left out.
+  EXPECT_TRUE(CliArgs::parse({"--out", "o"}, flags).ok());
+}
+
 TEST(Cli, MalformedInputRejected) {
   // Every error names the token at fault.
   EXPECT_NE(rejection({"stray-positional"}).find("'stray-positional'"),

@@ -30,9 +30,10 @@ bool declares(const CommandEntry& entry, const std::string& name) {
   return false;
 }
 
-/// `--name` appears in `text` as a whole flag, not as the tail of a
-/// longer one (`--out` inside `--trace-out`) or the head of one.
-bool mentions_flag(const std::string& text, const std::string& name) {
+/// Where `--name` appears in `text` as a whole flag, not as the tail
+/// of a longer one (`--out` inside `--trace-out`) or the head of one;
+/// npos when it does not.
+std::size_t flag_position(const std::string& text, const std::string& name) {
   const std::string flag = "--" + name;
   for (std::size_t at = text.find(flag); at != std::string::npos;
        at = text.find(flag, at + 1)) {
@@ -41,9 +42,29 @@ bool mentions_flag(const std::string& text, const std::string& name) {
     const bool tail = end == text.size() ||
                       !(std::isalnum(static_cast<unsigned char>(text[end])) ||
                         text[end] == '-');
-    if (head && tail) return true;
+    if (head && tail) return at;
   }
-  return false;
+  return std::string::npos;
+}
+
+/// `usage` documents `f` as the table declares it: shown, without
+/// brackets exactly when it is required, followed by its choices.
+void expect_documented(const std::string& usage, const util::FlagSpec& f,
+                       const std::string& where) {
+  const std::size_t at = flag_position(usage, f.name);
+  ASSERT_NE(at, std::string::npos) << where << " --" << f.name;
+  const bool bracketed = at > 0 && usage[at - 1] == '[';
+  EXPECT_EQ(bracketed, !f.required) << where << " --" << f.name;
+  std::string choices;
+  for (const std::string& c : f.choices) {
+    choices += (choices.empty() ? "" : "|") + c;
+  }
+  if (!choices.empty()) {
+    EXPECT_EQ(usage.compare(at, f.name.size() + 3 + choices.size(),
+                            "--" + f.name + " " + choices),
+              0)
+        << where << " --" << f.name << " must list " << choices;
+  }
 }
 
 TEST(CtlFlags, EveryCommandAcceptsItsCanonicalFlags) {
@@ -63,16 +84,15 @@ TEST(CtlFlags, EveryDeclaredFlagIsInItsUsage) {
     EXPECT_EQ(entry.usage.rfind("  " + entry.name + " ", 0), 0u)
         << entry.usage;
     for (const util::FlagSpec& f : entry.flags) {
-      EXPECT_TRUE(mentions_flag(entry.usage, f.name))
-          << entry.name << " --" << f.name;
+      expect_documented(entry.usage, f, entry.name);
     }
     EXPECT_NE(voprofctl_usage().find(entry.usage), std::string::npos)
         << entry.name;
   }
   for (const util::FlagSpec& f : find_command("serve")->flags) {
-    EXPECT_TRUE(mentions_flag(kVoprofdUsage, f.name)) << "voprofd --" << f.name;
+    expect_documented(kVoprofdUsage, f, "voprofd");
   }
-  EXPECT_FALSE(mentions_flag("[--trace-out FILE]", "out"));
+  EXPECT_EQ(flag_position("[--trace-out FILE]", "out"), std::string::npos);
 }
 
 TEST(CtlFlags, ParsesKnownFlagsIntoCliArgs) {
@@ -149,6 +169,35 @@ TEST(CtlFlags, BooleanSwitchesTakeNoValue) {
   ASSERT_TRUE(parsed.ok()) << parsed.error().to_string();
   EXPECT_TRUE(parsed.value().get_bool("enable-test-ops"));
   EXPECT_EQ(parsed.value().get("socket"), "/tmp/s.sock");
+}
+
+TEST(CtlFlags, RequiredFlagsAndChoicesAreCheckedWhenParsing) {
+  // Each is rejected before any work runs, naming the flag.
+  const std::vector<std::pair<std::string, std::vector<std::string>>> cases =
+      {{"train", {"--jobs", "2"}},
+       {"export-trace", {}},
+       {"fit", {"--observations", "o.csv", "--out", "m.txt", "--method",
+                "foo"}},
+       {"profile", {"--kind", "zzz"}},
+       {"predict", {"--models", "m.txt", "--format", "xml"}},
+       {"request", {"--socket", "s.sock"}}};
+  for (const auto& [command, tokens] : cases) {
+    const auto parsed = parse_flags(command, tokens);
+    ASSERT_FALSE(parsed.ok()) << command;
+    EXPECT_EQ(parsed.error().code, util::Errc::kValidation);
+  }
+  EXPECT_EQ(parse_flags("train", {}).error().message,
+            "missing required flag --out");
+  EXPECT_EQ(parse_flags("predict", {"--models", "m", "--format", "xml"})
+                .error()
+                .message,
+            "flag --format does not accept 'xml'");
+  // An unknown flag is still the error named, not the missing one.
+  EXPECT_NE(parse_flags("train", {"--bogus", "1"}).error().message.find(
+                "unknown flag --bogus"),
+            std::string::npos);
+  EXPECT_TRUE(parse_flags("profile", {"--kind", "io", "--format", "table"})
+                  .ok());
 }
 
 TEST(CtlFlags, MissingFlagValueIsAValidationError) {

@@ -5,21 +5,29 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "voprof/util/assert.hpp"
 
 namespace voprof::util {
 namespace {
 
+/// Parse a document the test expects to be well-formed.
+Json parse(std::string_view text) { return Json::parse_result(text).value(); }
+
 TEST(Json, ParsesScalars) {
-  EXPECT_TRUE(Json::parse("null").is_null());
-  EXPECT_TRUE(Json::parse("true").as_bool());
-  EXPECT_FALSE(Json::parse("false").as_bool());
-  EXPECT_DOUBLE_EQ(Json::parse("42").as_number(), 42.0);
-  EXPECT_DOUBLE_EQ(Json::parse("-3.25e2").as_number(), -325.0);
-  EXPECT_EQ(Json::parse("\"hi\"").as_string(), "hi");
+  EXPECT_TRUE(parse("null").is_null());
+  EXPECT_TRUE(parse("true").as_bool());
+  EXPECT_FALSE(parse("false").as_bool());
+  EXPECT_DOUBLE_EQ(parse("42").as_number(), 42.0);
+  EXPECT_DOUBLE_EQ(parse("-3.25e2").as_number(), -325.0);
+  EXPECT_EQ(parse("\"hi\"").as_string(), "hi");
 }
 
 TEST(Json, ParsesNestedStructures) {
-  const Json doc = Json::parse(R"({
+  const Json doc = parse(R"({
     "name": "bench",
     "reps": 5,
     "wall_s": {"median": 0.125, "raw": [0.1, 0.15]},
@@ -33,10 +41,10 @@ TEST(Json, ParsesNestedStructures) {
 }
 
 TEST(Json, StringEscapes) {
-  const Json doc = Json::parse(R"("a\"b\\c\nd\teA")");
+  const Json doc = parse(R"("a\"b\\c\nd\teA")");
   EXPECT_EQ(doc.as_string(), "a\"b\\c\nd\teA");
   // Round trip through dump.
-  EXPECT_EQ(Json::parse(doc.dump(0)).as_string(), doc.as_string());
+  EXPECT_EQ(parse(doc.dump(0)).as_string(), doc.as_string());
 }
 
 TEST(Json, DumpKeepsInsertionOrderAndRoundTrips) {
@@ -46,14 +54,14 @@ TEST(Json, DumpKeepsInsertionOrderAndRoundTrips) {
   obj.set("mid", "x");
   const std::string text = obj.dump(0);
   EXPECT_EQ(text, R"({"zeta":1,"alpha":[],"mid":"x"})");
-  const Json back = Json::parse(text);
+  const Json back = parse(text);
   EXPECT_EQ(back.dump(0), text);
 }
 
 TEST(Json, NumbersRoundTripExactly) {
   for (const double v : {0.1, 1.0 / 3.0, 6.02e23, -0.0005475329999171663}) {
     Json j(v);
-    EXPECT_DOUBLE_EQ(Json::parse(j.dump(0)).as_number(), v);
+    EXPECT_DOUBLE_EQ(parse(j.dump(0)).as_number(), v);
   }
 }
 
@@ -62,29 +70,62 @@ TEST(Json, NonFiniteNumbersSerializeAsNull) {
   arr.push_back(std::numeric_limits<double>::quiet_NaN());
   arr.push_back(std::numeric_limits<double>::infinity());
   arr.push_back(1.5);
-  const Json back = Json::parse(arr.dump(0));
+  const Json back = parse(arr.dump(0));
   EXPECT_TRUE(back.as_array()[0].is_null());
   EXPECT_TRUE(back.as_array()[1].is_null());
   EXPECT_DOUBLE_EQ(back.as_array()[2].as_number(), 1.5);
 }
 
-TEST(Json, MalformedInputThrows) {
-  EXPECT_THROW((void)Json::parse(""), JsonError);
-  EXPECT_THROW((void)Json::parse("{"), JsonError);
-  EXPECT_THROW((void)Json::parse("[1,]"), JsonError);
-  EXPECT_THROW((void)Json::parse("{\"a\" 1}"), JsonError);
-  EXPECT_THROW((void)Json::parse("nul"), JsonError);
-  EXPECT_THROW((void)Json::parse("1 2"), JsonError);  // trailing token
-  EXPECT_THROW((void)Json::parse("\"unterminated"), JsonError);
+TEST(Json, MalformedInputIsAParseError) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"", "byte 0"},
+      {"{", "byte 1"},
+      {"[1,]", "byte 3"},
+      {"{\"a\" 1}", "byte 5"},
+      {"nul", "byte 0"},
+      {"1 2", "byte 2"},  // trailing token
+      {"\"unterminated", "byte 13"}};
+  for (const auto& [text, where] : cases) {
+    const Result<Json> r = Json::parse_result(text);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.error().code, Errc::kParse) << text;
+    EXPECT_EQ(r.error().context, where) << text;
+  }
+}
+
+TEST(Json, NestingIsBoundedNotRecursedWithoutLimit) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(Json::parse_result(nested(Json::kMaxDepth)).ok());
+  const Result<Json> deep = Json::parse_result(nested(Json::kMaxDepth + 1));
+  ASSERT_FALSE(deep.ok());
+  EXPECT_EQ(deep.error().code, Errc::kParse);
+  EXPECT_EQ(deep.error().context, "byte " + std::to_string(Json::kMaxDepth));
+  // A hostile line: 200 000 open brackets inside an object, no closers.
+  const Result<Json> hostile = Json::parse_result(
+      R"({"api":"voprof-api-1","params":)" + std::string(200000, '['));
+  ASSERT_FALSE(hostile.ok());
+  EXPECT_EQ(hostile.error().code, Errc::kParse);
+}
+
+TEST(Json, LoadResultNamesTheFile) {
+  const Result<Json> missing = Json::load_result("/nonexistent/doc.json");
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code, Errc::kIo);
+  EXPECT_EQ(missing.error().context, "/nonexistent/doc.json");
 }
 
 TEST(Json, TypeMismatchedAccessThrows) {
+  // Typed access is a precondition: input code checks with find() and
+  // is_*() first.
   const Json n(1.0);
-  EXPECT_THROW((void)n.as_string(), JsonError);
-  EXPECT_THROW((void)n.as_array(), JsonError);
-  EXPECT_THROW((void)n.at("k"), JsonError);
-  const Json obj = Json::parse(R"({"a": 1})");
-  EXPECT_THROW((void)obj.at("missing"), JsonError);
+  EXPECT_THROW((void)n.as_string(), ContractViolation);
+  EXPECT_THROW((void)n.as_array(), ContractViolation);
+  EXPECT_THROW((void)n.at("k"), ContractViolation);
+  const Json obj = parse(R"({"a": 1})");
+  EXPECT_THROW((void)obj.at("missing"), ContractViolation);
   EXPECT_EQ(obj.find("missing"), nullptr);
   ASSERT_NE(obj.find("a"), nullptr);
   EXPECT_DOUBLE_EQ(obj.find("a")->as_number(), 1.0);

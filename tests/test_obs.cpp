@@ -240,10 +240,16 @@ TEST(MetricsConcurrency, CounterValueNeverDecreasesWhileWritersRun) {
   constexpr std::size_t kWriters = 4;
   constexpr std::uint64_t kPerWriter = 200000;
   std::atomic<std::size_t> done{0};
+  // Writers start only once the reader reads, so the reads always
+  // overlap the writes however the threads are scheduled.
+  std::atomic<bool> reading{false};
   std::uint64_t reads = 0;
   std::uint64_t decreases = 0;
   run_on_distinct_threads(kWriters + 1, [&](std::size_t t) {
     if (t < kWriters) {
+      while (!reading.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       for (std::uint64_t i = 0; i < kPerWriter; ++i) counter.add();
       done.fetch_add(1, std::memory_order_release);
       return;
@@ -254,6 +260,7 @@ TEST(MetricsConcurrency, CounterValueNeverDecreasesWhileWritersRun) {
       if (now < last) ++decreases;
       last = now;
       ++reads;
+      reading.store(true, std::memory_order_release);
     }
   });
   EXPECT_GT(reads, 0u);
@@ -319,7 +326,7 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
   ASSERT_TRUE(col.write_file());
   EXPECT_FALSE(col.enabled());  // flushing disables
 
-  const util::Json doc = util::Json::parse(slurp(path));
+  const util::Json doc = util::Json::parse_result(slurp(path)).value();
   EXPECT_EQ(doc.at("schema").as_string(), obs::kTraceSchema);
   EXPECT_EQ(doc.at("displayTimeUnit").as_string(), "ms");
   const auto& events = doc.at("traceEvents").as_array();

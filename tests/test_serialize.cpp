@@ -41,7 +41,7 @@ TEST(TrainingSetCsv, RoundTripPreservesRows) {
   const TrainingSet data = synthetic_data(1);
   const util::CsvDocument csv = training_set_to_csv(data);
   EXPECT_EQ(csv.row_count(), data.size());
-  const TrainingSet back = training_set_from_csv(csv);
+  const TrainingSet back = training_set_from_csv(csv).value();
   ASSERT_EQ(back.size(), data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(back.rows()[i].n_vms, data.rows()[i].n_vms);
@@ -56,7 +56,8 @@ TEST(TrainingSetCsv, RoundTripThroughText) {
   const TrainingSet data = synthetic_data(2);
   const std::string text = training_set_to_csv(data).str();
   const TrainingSet back =
-      training_set_from_csv(util::CsvDocument::parse_string_result(text).value());
+      training_set_from_csv(util::CsvDocument::parse_string_result(text).value())
+          .value();
   EXPECT_EQ(back.size(), data.size());
   // Models fitted on both sides agree.
   const auto a = Trainer::fit_models(data, RegressionMethod::kOls);
@@ -82,7 +83,11 @@ TEST(FitModels, SingleIsTheMultiModelBase) {
 TEST(TrainingSetCsv, MissingColumnRejected) {
   util::CsvDocument csv({"n_vms", "vm_cpu"});
   csv.add_row({1.0, 50.0});
-  EXPECT_THROW((void)training_set_from_csv(csv), util::ContractViolation);
+  const util::Result<TrainingSet> r = training_set_from_csv(csv);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, util::Errc::kValidation);
+  EXPECT_NE(r.error().message.find("'vm_mem'"), std::string::npos)
+      << r.error().to_string();
 }
 
 TEST(TrainingSetCsv, VmCountMustBeAPositiveInteger) {
@@ -94,16 +99,12 @@ TEST(TrainingSetCsv, VmCountMustBeAPositiveInteger) {
     std::vector<double> row(csv.header().size(), 1.0);
     row[csv.column("n_vms")] = bad;
     csv.add_row(row);
-    try {
-      (void)training_set_from_csv(csv);
-      ADD_FAILURE() << "accepted n_vms " << bad;
-    } catch (const util::ContractViolation& e) {
-      EXPECT_NE(std::string(e.what()).find(
-                    "observation row " + std::to_string(csv.row_count()) +
-                    ": n_vms"),
-                std::string::npos)
-          << e.what();
-    }
+    const util::Result<TrainingSet> r = training_set_from_csv(csv);
+    ASSERT_FALSE(r.ok()) << "accepted n_vms " << bad;
+    EXPECT_EQ(r.error().code, util::Errc::kValidation);
+    EXPECT_EQ(r.error().context,
+              "observation row " + std::to_string(csv.row_count()));
+    EXPECT_NE(r.error().message.find("n_vms"), std::string::npos);
   }
 }
 
@@ -226,7 +227,7 @@ TEST(HeteroSerialization, RoundTripPreservesPredictions) {
   const HeteroModel m =
       HeteroModel::fit(hetero_synthetic(7), RegressionMethod::kOls);
   const HeteroModel back =
-      hetero_model_from_string(hetero_model_to_string(m));
+      hetero_model_from_string_result(hetero_model_to_string(m)).value();
   ASSERT_TRUE(back.trained());
   EXPECT_EQ(back.types(), m.types());
   std::map<std::string, TypeObservation> probe;
@@ -244,15 +245,21 @@ TEST(HeteroSerialization, RoundTripPreservesPredictions) {
 }
 
 TEST(HeteroSerialization, RejectsGarbage) {
-  EXPECT_THROW((void)hetero_model_from_string(""), util::ContractViolation);
-  EXPECT_THROW((void)hetero_model_from_string("wrong-header\n"),
-               util::ContractViolation);
+  EXPECT_EQ(hetero_model_from_string_result("").error().code,
+            util::Errc::kParse);
+  EXPECT_EQ(hetero_model_from_string_result("wrong-header\n").error().code,
+            util::Errc::kUnsupported);
   const HeteroModel m =
       HeteroModel::fit(hetero_synthetic(8), RegressionMethod::kOls);
-  std::string text = hetero_model_to_string(m);
-  text.resize(text.size() * 2 / 3);
-  EXPECT_THROW((void)hetero_model_from_string(text),
-               util::ContractViolation);
+  const std::string text = hetero_model_to_string(m);
+  // No types, then truncated mid-record: both malformed, neither throws.
+  const std::string header = text.substr(0, text.find('\n') + 1);
+  EXPECT_EQ(hetero_model_from_string_result(header + "types\n").error().code,
+            util::Errc::kParse);
+  EXPECT_EQ(hetero_model_from_string_result(text.substr(0, text.size() * 2 / 3))
+                .error()
+                .code,
+            util::Errc::kParse);
   HeteroModel untrained;
   EXPECT_THROW((void)hetero_model_to_string(untrained),
                util::ContractViolation);

@@ -26,6 +26,11 @@
 namespace voprof::serve {
 namespace {
 
+/// A response line the test expects to be well-formed JSON.
+util::Json json_of(const std::string& line) {
+  return util::Json::parse_result(line).value();
+}
+
 // ------------------------------------------------------------ envelope
 TEST(Api, ParsesMinimalAndFullEnvelopes) {
   const auto minimal = parse_request(R"({"op":"status"})");
@@ -63,13 +68,13 @@ TEST(Api, RejectsMalformedAndInvalidRequests) {
 TEST(Api, ResponsesCarryVersionIdAndShape) {
   util::Json result = util::Json::object();
   result.set("x", 1.0);
-  const util::Json ok = util::Json::parse(ok_response("r7", std::move(result)));
+  const util::Json ok = json_of(ok_response("r7", std::move(result)));
   EXPECT_EQ(ok.at("api").as_string(), kApiVersion);
   EXPECT_EQ(ok.at("id").as_string(), "r7");
   EXPECT_TRUE(ok.at("ok").as_bool());
   EXPECT_DOUBLE_EQ(ok.at("result").at("x").as_number(), 1.0);
 
-  const util::Json err = util::Json::parse(
+  const util::Json err = json_of(
       error_response("r8", ApiError::kOverloaded, "queue full"));
   EXPECT_FALSE(err.at("ok").as_bool());
   EXPECT_EQ(err.at("error").at("code").as_string(), "overloaded");
@@ -115,7 +120,7 @@ struct Sink {
 };
 
 std::string error_code_of(const std::string& line) {
-  const util::Json doc = util::Json::parse(line);
+  const util::Json doc = json_of(line);
   if (doc.at("ok").as_bool()) return "";
   return doc.at("error").at("code").as_string();
 }
@@ -148,7 +153,7 @@ TEST(Service, SaturationGetsStructuredOverloadedNotBlocking) {
 
   // Control ops bypass the queue and still answer while saturated.
   const util::Json status =
-      util::Json::parse(service.handle_line(R"({"op":"status"})"));
+      json_of(service.handle_line(R"({"op":"status"})"));
   ASSERT_TRUE(status.at("ok").as_bool());
   EXPECT_EQ(status.at("result").at("rejected_overloaded").as_number(), 4.0);
 
@@ -211,7 +216,7 @@ TEST(Service, DrainRejectsNewWorkAndCompletesAdmitted) {
 TEST(Service, DrainOpDrainsViaTheWire) {
   Service service(test_config());
   const util::Json drain =
-      util::Json::parse(service.handle_line(R"({"op":"drain","id":"d"})"));
+      json_of(service.handle_line(R"({"op":"drain","id":"d"})"));
   ASSERT_TRUE(drain.at("ok").as_bool());
   EXPECT_TRUE(drain.at("result").at("draining").as_bool());
   EXPECT_EQ(error_code_of(service.handle_line(R"({"op":"status","id":"s",)"
@@ -336,7 +341,7 @@ TEST(Service, MetricsOpReportsTheRegistryWhileSaturated) {
   // `metrics` bypasses the full queue and answers on this thread.
   const std::int64_t t0 = obs::monotonic_us();
   const util::Json doc =
-      util::Json::parse(service.handle_line(R"({"op":"metrics","id":"m"})"));
+      json_of(service.handle_line(R"({"op":"metrics","id":"m"})"));
   EXPECT_LT(obs::monotonic_us() - t0, 250000);
   ASSERT_TRUE(doc.at("ok").as_bool());
   EXPECT_EQ(doc.at("id").as_string(), "m");
@@ -355,6 +360,17 @@ TEST(Service, MetricsOpReportsTheRegistryWhileSaturated) {
 }
 
 // -------------------------------------------------------------- daemon
+/// The daemon unlinks stale sockets itself; connect with retries while
+/// the listener comes up.
+util::Result<LineClient> connect_when_listening(const std::string& path) {
+  util::Result<LineClient> client = LineClient::connect(path);
+  for (int i = 0; i < 200 && !client.ok(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    client = LineClient::connect(path);
+  }
+  return client;
+}
+
 TEST(Daemon, SocketRoundTripDrainAndMalformedLine) {
   DaemonConfig config;
   config.socket_path = ::testing::TempDir() + "voprofd_test.sock";
@@ -368,19 +384,13 @@ TEST(Daemon, SocketRoundTripDrainAndMalformedLine) {
     return result.ok();
   });
 
-  // The daemon unlinks stale sockets itself; connect with retries while
-  // the listener comes up.
-  util::Result<LineClient> client = LineClient::connect(config.socket_path);
-  for (int i = 0; i < 200 && !client.ok(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    client = LineClient::connect(config.socket_path);
-  }
+  util::Result<LineClient> client = connect_when_listening(config.socket_path);
   ASSERT_TRUE(client.ok()) << client.error().to_string();
 
   const auto status =
       client.value().roundtrip(R"({"op":"status","id":"s1"})", 5000);
   ASSERT_TRUE(status.ok()) << status.error().to_string();
-  const util::Json doc = util::Json::parse(status.value());
+  const util::Json doc = json_of(status.value());
   EXPECT_TRUE(doc.at("ok").as_bool());
   EXPECT_EQ(doc.at("id").as_string(), "s1");
 
@@ -415,11 +425,7 @@ TEST(Daemon, RequestStopDrainsWithWorkInFlight) {
     return result.ok();
   });
 
-  util::Result<LineClient> client = LineClient::connect(config.socket_path);
-  for (int i = 0; i < 200 && !client.ok(); ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    client = LineClient::connect(config.socket_path);
-  }
+  util::Result<LineClient> client = connect_when_listening(config.socket_path);
   ASSERT_TRUE(client.ok()) << client.error().to_string();
 
   // Pipeline three requests, then stop the daemon while they run. All
@@ -438,7 +444,7 @@ TEST(Daemon, RequestStopDrainsWithWorkInFlight) {
   while (!status_seen) {
     const auto response = client.value().recv_line(5000);
     ASSERT_TRUE(response.ok()) << response.error().to_string();
-    const util::Json doc = util::Json::parse(response.value());
+    const util::Json doc = json_of(response.value());
     ASSERT_TRUE(doc.at("ok").as_bool());
     if (doc.at("id").as_string() == "s") {
       status_seen = true;
@@ -456,6 +462,41 @@ TEST(Daemon, RequestStopDrainsWithWorkInFlight) {
   EXPECT_TRUE(outcome.get());
   const Service::Stats stats = daemon.service().stats();
   EXPECT_EQ(stats.completed, 3u);
+}
+
+TEST(Daemon, DeeplyNestedLineIsABadRequestNotACrash) {
+  DaemonConfig config;
+  config.socket_path = ::testing::TempDir() + "voprofd_test3.sock";
+  config.install_signal_handlers = false;
+  config.service = test_config();
+
+  Daemon daemon(config);
+  util::TaskPool runner_thread(1, util::TaskPool::Threading::kAlwaysThreaded);
+  std::future<bool> outcome = runner_thread.submit([&daemon]() {
+    const util::Result<bool> result = daemon.run();
+    return result.ok();
+  });
+  util::Result<LineClient> client = connect_when_listening(config.socket_path);
+  ASSERT_TRUE(client.ok()) << client.error().to_string();
+
+  // Well under the line cap, but far deeper than a recursive parser's
+  // stack allows: the daemon parses it on its poll thread.
+  const std::string deep =
+      R"({"api":"voprof-api-1","op":"status","params":)" +
+      std::string(200000, '[');
+  const auto bad = client.value().roundtrip(deep, 5000);
+  ASSERT_TRUE(bad.ok()) << bad.error().to_string();
+  EXPECT_EQ(error_code_of(bad.value()), "bad_request");
+
+  util::Result<LineClient> fresh = LineClient::connect(config.socket_path);
+  ASSERT_TRUE(fresh.ok()) << fresh.error().to_string();
+  const auto status =
+      fresh.value().roundtrip(R"({"op":"status","id":"after"})", 5000);
+  ASSERT_TRUE(status.ok()) << status.error().to_string();
+  EXPECT_EQ(json_of(status.value()).at("id").as_string(), "after");
+
+  daemon.request_stop();
+  EXPECT_TRUE(outcome.get());
 }
 
 TEST(Daemon, RefusesToClobberARegularFile) {

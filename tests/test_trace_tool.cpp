@@ -10,7 +10,6 @@
 
 #include "trace_cmd.hpp"
 #include "voprof/obs/trace.hpp"
-#include "voprof/util/assert.hpp"
 #include "voprof/util/json.hpp"
 
 namespace {
@@ -84,14 +83,48 @@ TEST(TraceTool, SpansSortedBusiestFirst) {
   EXPECT_DOUBLE_EQ(s.spans[1].wall_ms, 6.0);
 }
 
+/// Write `text` to a temporary file and return its path.
+std::string write_temp(const std::string& name, const std::string& text) {
+  const std::string path = ::testing::TempDir() + name;
+  std::ofstream out(path);
+  out << text;
+  return path;
+}
+
 TEST(TraceTool, RejectsForeignDocuments) {
-  EXPECT_THROW((void)tools::summarize_trace(util::Json::parse("[1,2]")),
-               util::ContractViolation);
-  EXPECT_THROW((void)tools::summarize_trace(util::Json::parse("{}")),
-               util::ContractViolation);
-  EXPECT_THROW((void)tools::summarize_trace(
-                   util::Json::parse(R"({"schema":"other-schema-9"})")),
-               util::ContractViolation);
+  // A document that is not a voprof trace summarizes to nothing...
+  for (const char* text : {"[1,2]", "{}", R"({"schema":"other-schema-9"})",
+                           R"({"schema":"voprof-trace-1","traceEvents":5})"}) {
+    const tools::TraceSummary s =
+        tools::summarize_trace(util::Json::parse_result(text).value());
+    EXPECT_EQ(s.schema, "") << text;
+    EXPECT_EQ(s.total_events, 0) << text;
+    // ...and as a file it is a validation error naming the file.
+    const std::string path = write_temp("foreign_trace.json", text);
+    const util::Result<tools::TraceSummary> r =
+        tools::summarize_trace_file(path);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_EQ(r.error().code, util::Errc::kValidation) << text;
+    EXPECT_EQ(r.error().context, path);
+    std::remove(path.c_str());
+  }
+  const std::string path = write_temp("malformed_trace.json", "{\"schema\"");
+  const util::Result<tools::TraceSummary> r = tools::summarize_trace_file(path);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, util::Errc::kParse);
+  std::remove(path.c_str());
+}
+
+TEST(TraceTool, OutOfRangePidIsWallTime) {
+  // A pid no int can hold is compared, never cast: it is not the sim pid.
+  const tools::TraceSummary s = tools::summarize_trace(
+      util::Json::parse_result(
+          R"({"schema":"voprof-trace-1","traceEvents":[)"
+          R"({"ph":"X","cat":"c","name":"n","pid":1e20,"dur":2000}]})")
+          .value());
+  ASSERT_EQ(s.spans.size(), 1u);
+  EXPECT_DOUBLE_EQ(s.spans[0].wall_ms, 2.0);
+  EXPECT_DOUBLE_EQ(s.spans[0].sim_ms, 0.0);
 }
 
 TEST(TraceTool, SummaryAndTopRender) {
@@ -136,12 +169,14 @@ TEST(TraceTool, LoadsFromFile) {
     ASSERT_TRUE(out.good());
     out << sample_doc().dump(0) << '\n';
   }
-  const tools::TraceSummary s = tools::summarize_trace_file(path);
+  const tools::TraceSummary s = tools::summarize_trace_file(path).value();
   EXPECT_EQ(s.schema, obs::kTraceSchema);
   EXPECT_FALSE(s.categories.empty());
   std::remove(path.c_str());
-  EXPECT_THROW((void)tools::summarize_trace_file(path),
-               util::ContractViolation);
+  const util::Result<tools::TraceSummary> gone =
+      tools::summarize_trace_file(path);
+  ASSERT_FALSE(gone.ok());
+  EXPECT_EQ(gone.error().code, util::Errc::kIo);
 }
 
 }  // namespace

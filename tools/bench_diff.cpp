@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <fstream>
-#include <sstream>
 
-#include "voprof/util/assert.hpp"
 #include "voprof/util/table.hpp"
 
 namespace voprof::tools {
@@ -14,27 +11,33 @@ namespace {
 
 /// name -> median wall seconds for every benchmark in a record, in
 /// document order. Validates the voprof-bench-1 schema on the way.
-std::vector<std::pair<std::string, double>> medians(const util::Json& doc,
-                                                    const char* label) {
-  const std::string who = std::string("bench-diff: ") + label;
-  if (!doc.is_object()) {
-    throw util::JsonError(who + ": document is not an object");
-  }
+util::Result<std::vector<std::pair<std::string, double>>> medians(
+    const util::Json& doc, const char* label) {
+  const auto invalid = [label](const std::string& what) {
+    return util::Error{util::Errc::kValidation, what,
+                       std::string("bench-diff ") + label};
+  };
   const util::Json* schema = doc.find("schema");
+  const util::Json* benchmarks = doc.find("benchmarks");
   if (schema == nullptr || !schema->is_string() ||
-      schema->as_string() != "voprof-bench-1") {
-    throw util::JsonError(who + ": missing or unsupported schema "
-                                "(want \"voprof-bench-1\")");
+      schema->as_string() != "voprof-bench-1" || benchmarks == nullptr ||
+      !benchmarks->is_array()) {
+    return invalid("not a voprof-bench-1 record with a benchmarks array");
   }
   std::vector<std::pair<std::string, double>> out;
-  for (const util::Json& b : doc.at("benchmarks").as_array()) {
-    const std::string& name = b.at("name").as_string();
-    const double median = b.at("wall_s").at("median").as_number();
-    if (!(median > 0.0) || !std::isfinite(median)) {
-      throw util::JsonError(who + ": benchmark \"" + name +
-                            "\" has a non-positive median");
+  for (const util::Json& b : benchmarks->as_array()) {
+    const util::Json* name = b.find("name");
+    const util::Json* wall = b.find("wall_s");
+    const util::Json* median = wall != nullptr ? wall->find("median") : nullptr;
+    if (name == nullptr || !name->is_string() || median == nullptr ||
+        !median->is_number()) {
+      return invalid("a benchmark lacks a name or a wall_s.median number");
     }
-    out.emplace_back(name, median);
+    if (!(median->as_number() > 0.0) || !std::isfinite(median->as_number())) {
+      return invalid("benchmark \"" + name->as_string() +
+                     "\" has a non-positive median");
+    }
+    out.emplace_back(name->as_string(), median->as_number());
   }
   return out;
 }
@@ -53,12 +56,19 @@ bool BenchDiffReport::has_improvement() const noexcept {
   });
 }
 
-BenchDiffReport bench_diff(const util::Json& baseline,
-                           const util::Json& current, double threshold) {
-  VOPROF_REQUIRE_MSG(threshold > 0.0 && threshold < 10.0,
-                     "bench-diff threshold must be in (0, 10)");
-  const auto base = medians(baseline, "baseline");
-  const auto cur = medians(current, "current");
+util::Result<BenchDiffReport> bench_diff(const util::Json& baseline,
+                                         const util::Json& current,
+                                         double threshold) {
+  if (!(threshold > 0.0 && threshold < 10.0)) {
+    return util::Error{util::Errc::kValidation,
+                       "threshold must be in (0, 10)", "bench-diff"};
+  }
+  const auto base_medians = medians(baseline, "baseline");
+  if (!base_medians.ok()) return base_medians.error();
+  const auto cur_medians = medians(current, "current");
+  if (!cur_medians.ok()) return cur_medians.error();
+  const auto& base = base_medians.value();
+  const auto& cur = cur_medians.value();
 
   BenchDiffReport report;
   for (const auto& [name, cur_median] : cur) {
@@ -91,19 +101,14 @@ BenchDiffReport bench_diff(const util::Json& baseline,
   return report;
 }
 
-BenchDiffReport bench_diff_files(const std::string& baseline,
-                                 const std::string& current,
-                                 double threshold) {
-  const auto load = [](const std::string& path) {
-    std::ifstream in(path);
-    if (!in) {
-      throw util::ContractViolation("bench-diff: cannot read " + path);
-    }
-    std::ostringstream text;
-    text << in.rdbuf();
-    return util::Json::parse(text.str());
-  };
-  return bench_diff(load(baseline), load(current), threshold);
+util::Result<BenchDiffReport> bench_diff_files(const std::string& baseline,
+                                               const std::string& current,
+                                               double threshold) {
+  const util::Result<util::Json> base = util::Json::load_result(baseline);
+  if (!base.ok()) return base.error();
+  const util::Result<util::Json> cur = util::Json::load_result(current);
+  if (!cur.ok()) return cur.error();
+  return bench_diff(base.value(), cur.value(), threshold);
 }
 
 std::string format_bench_diff(const BenchDiffReport& report,

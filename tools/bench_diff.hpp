@@ -38,17 +38,16 @@ struct BenchDiffReport {
 
 /// Compare two parsed perf records. `threshold` is the relative
 /// median-wall-time change that counts as significant (0.25 = 25 %).
-/// Throws util::JsonError / util::ContractViolation when a document
-/// does not carry the voprof-bench-1 schema.
-[[nodiscard]] BenchDiffReport bench_diff(const util::Json& baseline,
-                                         const util::Json& current,
-                                         double threshold);
+/// A threshold outside (0, 10), or a document that does not carry the
+/// voprof-bench-1 schema, is an Errc::kValidation error.
+[[nodiscard]] util::Result<BenchDiffReport> bench_diff(
+    const util::Json& baseline, const util::Json& current, double threshold);
 
-/// Convenience: load both files and compare. Throws on unreadable or
-/// malformed input.
-[[nodiscard]] BenchDiffReport bench_diff_files(const std::string& baseline,
-                                               const std::string& current,
-                                               double threshold);
+/// Load both files and compare: Errc::kIo for an unreadable file,
+/// kParse for malformed JSON, otherwise as bench_diff.
+[[nodiscard]] util::Result<BenchDiffReport> bench_diff_files(
+    const std::string& baseline, const std::string& current,
+    double threshold);
 
 /// Human-readable table of the report (one line per benchmark).
 [[nodiscard]] std::string format_bench_diff(const BenchDiffReport& report,

@@ -5,7 +5,8 @@
 ///  * `--help` or `-h` anywhere prints the usage text on stdout and
 ///    exits 0;
 ///  * a command line util::CliArgs::parse rejects (unknown flag, flag
-///    without a value, stray argument, malformed number), or one the
+///    without a value, stray argument, malformed number, missing
+///    required flag, value outside a flag's choices), or one the
 ///    program rejects after parsing, prints the error and the usage on
 ///    stderr and exits 2, before any work runs;
 ///  * otherwise `--trace-out FILE`, else VOPROF_TRACE, enables the

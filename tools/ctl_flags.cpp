@@ -4,73 +4,82 @@ namespace voprof::tools {
 
 namespace {
 
+constexpr auto kText = util::FlagSpec::Kind::kText;
 constexpr auto kNumber = util::FlagSpec::Kind::kNumber;
 constexpr auto kInteger = util::FlagSpec::Kind::kInteger;
 constexpr auto kSwitch = util::FlagSpec::Kind::kSwitch;
 
+/// A text flag every command line must carry.
+util::FlagSpec required(const char* name) { return {name, kText, true}; }
+
+/// Text flags whose value is one of these choices.
+const util::FlagSpec kMethod{"method", kText, false, {"lms", "ols"}};
+const util::FlagSpec kFormat{"format", kText, false, {"table", "csv", "json"}};
+
 }  // namespace
 
 /// The whole CLI surface. Cross-cutting flags keep one spelling:
-/// --jobs (parallelism), --seed, --format csv|json, --trace-out
+/// --jobs (parallelism), --seed, --format table|csv|json, --trace-out
 /// (observability trace file, everywhere; observation-CSV inputs are
 /// --observations).
 const std::vector<CommandEntry>& command_table() {
   static const std::vector<CommandEntry> table = {
       {"train",
-       {{"out"}, {"method"}, {"duration", kNumber}, {"seed", kInteger},
-        {"jobs", kInteger}, {"trace-out"}},
+       {required("out"), kMethod, {"duration", kNumber},
+        {"seed", kInteger}, {"jobs", kInteger}, {"trace-out"}},
        "  train         run the micro-benchmark sweep and fit the models\n"
        "                  --out FILE [--method lms|ols] [--duration SEC]\n"
        "                  [--seed N] [--jobs N] [--trace-out FILE]\n"},
       {"export-trace",
-       {{"out"}, {"duration", kNumber}, {"seed", kInteger},
+       {required("out"), {"duration", kNumber}, {"seed", kInteger},
         {"jobs", kInteger}, {"trace-out"}},
        "  export-trace  dump sweep observations as CSV\n"
        "                  --out FILE [--duration SEC] [--seed N] [--jobs N]\n"
        "                  [--trace-out FILE]\n"},
       {"fit",
-       {{"observations"}, {"out"}, {"method"}, {"trace-out"}},
+       {required("observations"), required("out"), kMethod, {"trace-out"}},
        "  fit           fit models from an observation CSV\n"
        "                  --observations FILE --out FILE [--method lms|ols]\n"
        "                  [--trace-out FILE]\n"},
       {"predict",
-       {{"models"}, {"cpu", kNumber}, {"mem", kNumber}, {"io", kNumber},
-        {"bw", kNumber}, {"vms", kInteger}, {"format"}, {"trace-out"}},
+       {required("models"), {"cpu", kNumber}, {"mem", kNumber},
+        {"io", kNumber}, {"bw", kNumber}, {"vms", kInteger}, kFormat,
+        {"trace-out"}},
        "  predict       predict PM utilization from summed VM metrics\n"
-       "                  --models FILE --cpu PCT --mem MIB --io BLKS\n"
-       "                  --bw KBPS [--vms N] [--format csv|json]\n"
+       "                  --models FILE [--cpu PCT] [--mem MIB] [--io BLKS]\n"
+       "                  [--bw KBPS] [--vms N] [--format table|csv|json]\n"
        "                  [--trace-out FILE]\n"},
       {"profile",
-       {{"kind"}, {"value", kNumber}, {"vms", kInteger},
-        {"duration", kNumber}, {"seed", kInteger}, {"format"},
-        {"trace-out"}},
+       {{"kind", kText, true, {"cpu", "mem", "io", "bw"}},
+        {"value", kNumber}, {"vms", kInteger}, {"duration", kNumber},
+        {"seed", kInteger}, kFormat, {"trace-out"}},
        "  profile       measure one workload cell\n"
-       "                  --kind cpu|mem|io|bw --value V [--vms N]\n"
-       "                  [--duration SEC] [--seed N] [--format csv|json]\n"
-       "                  [--trace-out FILE]\n"},
+       "                  --kind cpu|mem|io|bw [--value V] [--vms N]\n"
+       "                  [--duration SEC] [--seed N]\n"
+       "                  [--format table|csv|json] [--trace-out FILE]\n"},
       {"rubis",
-       {{"models"}, {"clients", kInteger}, {"duration", kNumber},
+       {required("models"), {"clients", kInteger}, {"duration", kNumber},
         {"trace-out"}},
        "  rubis         RUBiS prediction-accuracy run\n"
        "                  --models FILE [--clients N] [--duration SEC]\n"
        "                  [--trace-out FILE]\n"},
       {"inspect",
-       {{"observations"}, {"method"}, {"resamples", kInteger},
-        {"trace-out"}},
+       {required("observations"), kMethod,
+        {"resamples", kInteger}, {"trace-out"}},
        "  inspect       bootstrap confidence intervals for the model\n"
        "                  coefficients fitted from an observation CSV\n"
        "                  --observations FILE [--method lms|ols]\n"
        "                  [--resamples N] [--trace-out FILE]\n"},
       {"simulate",
-       {{"scenario"}, {"replications", kInteger}, {"jobs", kInteger},
-        {"seed", kInteger}, {"format"}, {"series-out"}, {"trace-out"}},
+       {required("scenario"), {"replications", kInteger}, {"jobs", kInteger},
+        {"seed", kInteger}, kFormat, {"series-out"}, {"trace-out"}},
        "  simulate      run a declarative scenario (INI) and print the\n"
        "                  measured utilizations\n"
        "                  --scenario FILE [--series-out OUT.csv]\n"
        "                  [--replications N] [--jobs N] [--seed N]\n"
-       "                  [--format csv|json] [--trace-out FILE]\n"},
+       "                  [--format table|csv|json] [--trace-out FILE]\n"},
       {"serve",
-       {{"socket"}, {"jobs", kInteger}, {"queue-capacity", kInteger},
+       {required("socket"), {"jobs", kInteger}, {"queue-capacity", kInteger},
         {"default-deadline-ms", kInteger}, {"max-deadline-ms", kInteger},
         {"train-duration", kNumber}, {"seed", kInteger},
         {"inner-jobs", kInteger}, {"enable-test-ops", kSwitch},
@@ -82,13 +91,13 @@ const std::vector<CommandEntry>& command_table() {
        "                  [--metrics-out FILE] [--trace-out FILE]\n"
        "                  [--enable-test-ops]\n"},
       {"request",
-       {{"socket"}, {"op"}, {"params"}, {"id"}, {"deadline-ms", kInteger},
-        {"timeout-ms", kInteger}},
+       {required("socket"), required("op"), {"params"}, {"id"},
+        {"deadline-ms", kInteger}, {"timeout-ms", kInteger}},
        "  request       send one voprof-api-1 request to a daemon\n"
        "                  --socket PATH --op OP [--params JSON] [--id ID]\n"
        "                  [--deadline-ms MS] [--timeout-ms MS]\n"},
       {"bench-diff",
-       {{"baseline"}, {"current"}, {"threshold", kNumber},
+       {required("baseline"), required("current"), {"threshold", kNumber},
         {"report-improvement", kSwitch}},
        "  bench-diff    compare two BENCH_*.json perf records\n"
        "                  --baseline FILE --current FILE\n"

@@ -4,11 +4,12 @@
 /// voprofctl command (and voprofd, which is `voprofctl serve` in a
 /// dedicated binary) declares here its flags, its operand count and
 /// the usage text that documents them, so:
-///  * util::CliArgs::parse rejects anything a command does not declare;
+///  * util::CliArgs::parse rejects anything a command does not declare,
+///    a missing required flag and a value outside a flag's choices;
 ///  * the cross-cutting flags keep one spelling everywhere: `--jobs`,
-///    `--seed`, `--format csv|json`, `--trace-out FILE`;
-///  * tests/test_ctl_flags.cpp checks that every declared flag is in
-///    its command's usage text.
+///    `--seed`, `--format table|csv|json`, `--trace-out FILE`;
+///  * tests/test_ctl_flags.cpp checks that the usage text shows every
+///    flag, bracketed unless required, with its choices.
 
 #include <cstddef>
 #include <string>

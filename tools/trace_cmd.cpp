@@ -1,13 +1,10 @@
 #include "trace_cmd.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "voprof/obs/trace.hpp"
-#include "voprof/util/assert.hpp"
 #include "voprof/util/numeric.hpp"
 #include "voprof/util/table.hpp"
 
@@ -33,17 +30,14 @@ std::string string_or(const util::Json& event, const char* key,
 }  // namespace
 
 TraceSummary summarize_trace(const util::Json& doc) {
-  VOPROF_REQUIRE_MSG(doc.is_object(), "trace: document is not a JSON object");
-  const util::Json* schema = doc.find("schema");
-  VOPROF_REQUIRE_MSG(schema != nullptr && schema->is_string() &&
-                         schema->as_string() == obs::kTraceSchema,
-                     std::string("trace: expected schema \"") +
-                         obs::kTraceSchema + "\" (is this a voprof trace?)");
-  const util::Json* events = doc.find("traceEvents");
-  VOPROF_REQUIRE_MSG(events != nullptr && events->is_array(),
-                     "trace: missing traceEvents array");
-
   TraceSummary out;
+  const util::Json* schema = doc.find("schema");
+  const util::Json* events = doc.find("traceEvents");
+  if (schema == nullptr || !schema->is_string() ||
+      schema->as_string() != obs::kTraceSchema || events == nullptr ||
+      !events->is_array()) {
+    return out;  // not a voprof trace
+  }
   out.schema = schema->as_string();
   std::map<std::string, TraceCategoryStats> cats;
   std::map<SpanKey, TraceSpanStats> spans;
@@ -52,28 +46,22 @@ TraceSummary summarize_trace(const util::Json& doc) {
     const std::string ph = string_or(e, "ph", "");
     if (ph == "M") continue;  // process metadata carries no category
     const std::string cat = string_or(e, "cat", "(none)");
-    const auto pid = static_cast<int>(number_or(e, "pid", obs::kWallPid));
+    // Compared as a double: the pid comes from the file, and casting an
+    // out-of-range number to int would be undefined.
+    const bool sim = number_or(e, "pid", obs::kWallPid) == obs::kSimPid;
     const double dur_ms = number_or(e, "dur", 0.0) / 1000.0;
 
     TraceCategoryStats& c = cats[cat];
     c.category = cat;
     if (ph == "X") {
       ++c.spans;
-      if (pid == obs::kSimPid) {
-        c.sim_ms += dur_ms;
-      } else {
-        c.wall_ms += dur_ms;
-      }
+      (sim ? c.sim_ms : c.wall_ms) += dur_ms;
       const SpanKey key{cat, string_or(e, "name", "(unnamed)")};
       TraceSpanStats& s = spans[key];
       s.category = key.first;
       s.name = key.second;
       ++s.count;
-      if (pid == obs::kSimPid) {
-        s.sim_ms += dur_ms;
-      } else {
-        s.wall_ms += dur_ms;
-      }
+      (sim ? s.sim_ms : s.wall_ms) += dur_ms;
     } else if (ph == "i" || ph == "I") {
       ++c.instants;
     } else if (ph == "C") {
@@ -97,12 +85,17 @@ TraceSummary summarize_trace(const util::Json& doc) {
   return out;
 }
 
-TraceSummary summarize_trace_file(const std::string& path) {
-  std::ifstream f(path);
-  VOPROF_REQUIRE_MSG(f.good(), "trace: cannot open " + path);
-  std::ostringstream os;
-  os << f.rdbuf();
-  return summarize_trace(util::Json::parse(os.str()));
+util::Result<TraceSummary> summarize_trace_file(const std::string& path) {
+  const util::Result<util::Json> doc = util::Json::load_result(path);
+  if (!doc.ok()) return doc.error();
+  TraceSummary summary = summarize_trace(doc.value());
+  if (summary.schema.empty()) {
+    return util::Error{util::Errc::kValidation,
+                       std::string("not a voprof trace (want schema \"") +
+                           obs::kTraceSchema + "\" and a traceEvents array)",
+                       path};
+  }
+  return summary;
 }
 
 std::string format_trace_summary(const TraceSummary& s) {

@@ -43,14 +43,16 @@ struct TraceSummary {
   std::vector<TraceSpanStats> spans;
 };
 
-/// Validate a parsed trace document (schema must be "voprof-trace-1",
-/// traceEvents must be an array) and aggregate it. Throws
-/// util::ContractViolation on a foreign document and util::JsonError
-/// on malformed events.
+/// Aggregate the events of a parsed voprof trace. A document that is
+/// not one (schema "voprof-trace-1" and a traceEvents array) gives an
+/// empty summary, whose schema is "".
 [[nodiscard]] TraceSummary summarize_trace(const util::Json& doc);
 
-/// Read + parse + summarize a trace file.
-[[nodiscard]] TraceSummary summarize_trace_file(const std::string& path);
+/// Read, parse and summarize a trace file: Errc::kIo when it cannot be
+/// opened, kParse for malformed JSON, kValidation for a document that
+/// is not a voprof trace.
+[[nodiscard]] util::Result<TraceSummary> summarize_trace_file(
+    const std::string& path);
 
 /// Per-category time table ("voprofctl trace summary").
 [[nodiscard]] std::string format_trace_summary(const TraceSummary& s);

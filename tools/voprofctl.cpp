@@ -34,24 +34,35 @@ namespace {
 
 using namespace voprof;
 
-model::RegressionMethod parse_method(const std::string& name) {
-  if (name == "lms") return model::RegressionMethod::kLms;
-  if (name == "ols") return model::RegressionMethod::kOls;
-  throw util::ContractViolation("unknown method (want lms|ols): " + name);
+// CliArgs::parse has checked --method and --kind against the choices
+// the flag table (tools/ctl_flags.cpp) declares.
+model::RegressionMethod method_of(const util::CliArgs& args,
+                                  const char* fallback) {
+  return args.get_or("method", fallback) == "ols"
+             ? model::RegressionMethod::kOls
+             : model::RegressionMethod::kLms;
 }
 
-wl::WorkloadKind parse_kind(const std::string& name) {
-  if (name == "cpu") return wl::WorkloadKind::kCpu;
+wl::WorkloadKind kind_of(const util::CliArgs& args) {
+  const std::string& name = args.get("kind");
   if (name == "mem") return wl::WorkloadKind::kMem;
   if (name == "io") return wl::WorkloadKind::kIo;
   if (name == "bw") return wl::WorkloadKind::kBw;
-  throw util::ContractViolation("unknown kind (want cpu|mem|io|bw): " + name);
+  return wl::WorkloadKind::kCpu;
 }
 
 /// Print a loader failure the uniform way and signal exit 1.
 int loader_error(const util::Error& err) {
   std::cerr << "voprofctl: " << err.to_string() << '\n';
   return 1;
+}
+
+/// The observation CSV named by --observations.
+util::Result<model::TrainingSet> load_observations(const util::CliArgs& args) {
+  util::Result<util::CsvDocument> csv =
+      util::CsvDocument::load_result(args.get("observations"));
+  if (!csv.ok()) return csv.error();
+  return model::training_set_from_csv(csv.value());
 }
 
 model::TrainerConfig trainer_config(const util::CliArgs& args) {
@@ -64,7 +75,7 @@ model::TrainerConfig trainer_config(const util::CliArgs& args) {
 
 int cmd_train(const util::CliArgs& args) {
   const model::Trainer trainer(trainer_config(args));
-  const auto method = parse_method(args.get_or("method", "lms"));
+  const auto method = method_of(args, "lms");
   std::cout << "training (" << args.get_or("method", "lms")
             << ", full Table II sweep x {1,2,4} VMs)...\n";
   const model::TrainedModels models = trainer.train(method);
@@ -89,14 +100,11 @@ int cmd_export_trace(const util::CliArgs& args) {
 }
 
 int cmd_fit(const util::CliArgs& args) {
-  util::Result<util::CsvDocument> csv =
-      util::CsvDocument::load_result(args.get("observations"));
-  if (!csv.ok()) return loader_error(csv.error());
-  const model::TrainingSet data =
-      model::training_set_from_csv(csv.value());
-  const auto method = parse_method(args.get_or("method", "lms"));
+  util::Result<model::TrainingSet> loaded = load_observations(args);
+  if (!loaded.ok()) return loader_error(loaded.error());
+  const model::TrainingSet data = std::move(loaded).take();
   const model::TrainedModels models =
-      model::Trainer::fit_models(data, method);
+      model::Trainer::fit_models(data, method_of(args, "lms"));
   model::save_models_file(models, args.get("out"));
   std::cout << "fitted " << data.size() << " observations -> "
             << args.get("out") << '\n';
@@ -139,10 +147,6 @@ int cmd_predict(const util::CliArgs& args) {
               << "hyp_cpu,0," << util::format_double(hyp) << '\n';
     return 0;
   }
-  if (format != "table") {
-    throw util::ContractViolation("unknown --format (want csv|json): " +
-                                  format);
-  }
   util::AsciiTable t("predicted PM utilization for " + std::to_string(n) +
                      " co-located VM(s)");
   t.set_header({"metric", "sum of VMs", "predicted PM", "overhead"});
@@ -159,7 +163,7 @@ int cmd_predict(const util::CliArgs& args) {
 }
 
 int cmd_profile(const util::CliArgs& args) {
-  const wl::WorkloadKind kind = parse_kind(args.get("kind"));
+  const wl::WorkloadKind kind = kind_of(args);
   const double value = args.get_double("value", 50.0);
   const int n_vms = args.get_int("vms", 1);
   const double duration = args.get_double("duration", 60.0);
@@ -198,10 +202,6 @@ int cmd_profile(const util::CliArgs& args) {
     std::cout << entities.dump(0) << '\n';
     return 0;
   }
-  if (format != "table") {
-    throw util::ContractViolation("unknown --format (want csv|json): " +
-                                  format);
-  }
   util::AsciiTable t(wl::kind_name(kind) + " @ " + util::fmt(value, 2) +
                      " " + wl::kind_unit(kind) + " x " +
                      std::to_string(n_vms) + " VM(s), " +
@@ -217,13 +217,11 @@ int cmd_profile(const util::CliArgs& args) {
 }
 
 int cmd_inspect(const util::CliArgs& args) {
-  util::Result<util::CsvDocument> csv =
-      util::CsvDocument::load_result(args.get("observations"));
-  if (!csv.ok()) return loader_error(csv.error());
-  const model::TrainingSet data =
-      model::training_set_from_csv(csv.value());
+  util::Result<model::TrainingSet> loaded = load_observations(args);
+  if (!loaded.ok()) return loader_error(loaded.error());
+  const model::TrainingSet data = std::move(loaded).take();
   model::BootstrapConfig cfg;
-  cfg.method = parse_method(args.get_or("method", "ols"));
+  cfg.method = method_of(args, "ols");
   cfg.resamples = args.get_int("resamples", 200);
   std::cout << "bootstrapping " << cfg.resamples << " resamples over "
             << data.with_vm_count(1).size() << " single-VM rows...\n";
@@ -272,10 +270,6 @@ int cmd_simulate(const util::CliArgs& args) {
     }
     return 0;
   }
-  if (format != "table") {
-    throw util::ContractViolation("unknown --format (want csv|json): " +
-                                  format);
-  }
 
   std::cout << "running scenario: " << spec.machines << " machine(s), "
             << spec.vms.size() << " VM(s), "
@@ -303,12 +297,13 @@ int cmd_simulate(const util::CliArgs& args) {
 int cmd_request(const tools::CommandLine& cl, const util::CliArgs& args) {
   util::Json params = util::Json::object();
   if (args.has("params")) {
-    try {
-      params = util::Json::parse(args.get("params"));
-    } catch (const util::JsonError& e) {
-      cl.fail(std::string("--params is not valid JSON: ") + e.what());
+    util::Result<util::Json> parsed =
+        util::Json::parse_result(args.get("params"));
+    if (!parsed.ok()) {
+      cl.fail("--params is not valid JSON: " + parsed.error().to_string());
     }
-    if (!params.is_object()) cl.fail("--params must be a JSON object");
+    if (!parsed.value().is_object()) cl.fail("--params must be a JSON object");
+    params = std::move(parsed).take();
   }
   util::Json req = util::Json::object();
   req.set("api", serve::kApiVersion);
@@ -330,12 +325,10 @@ int cmd_request(const tools::CommandLine& cl, const util::CliArgs& args) {
 
   // Exit code mirrors the response's ok flag so scripts can branch
   // without parsing JSON.
-  try {
-    const util::Json doc = util::Json::parse(response.value());
-    if (doc.at("ok").as_bool()) return 0;
-  } catch (const util::JsonError&) {
-  }
-  return 1;
+  const util::Result<util::Json> doc =
+      util::Json::parse_result(response.value());
+  const util::Json* ok = doc.ok() ? doc.value().find("ok") : nullptr;
+  return ok != nullptr && ok->is_bool() && ok->as_bool() ? 0 : 1;
 }
 
 int cmd_serve(const tools::CommandLine& cl, const util::CliArgs& args) {
@@ -351,7 +344,10 @@ int cmd_trace(const tools::CommandLine& cl, const util::CliArgs& args) {
   if (sub != "summary" && sub != "top" && sub != "export") {
     cl.fail("unknown trace subcommand '" + sub + "'");
   }
-  const tools::TraceSummary summary = tools::summarize_trace_file(file);
+  const util::Result<tools::TraceSummary> loaded =
+      tools::summarize_trace_file(file);
+  if (!loaded.ok()) return loader_error(loaded.error());
+  const tools::TraceSummary& summary = loaded.value();
   if (sub == "summary") {
     std::cout << tools::format_trace_summary(summary);
   } else if (sub == "top") {
@@ -427,19 +423,18 @@ int cmd_rubis(const util::CliArgs& args) {
 }
 
 int cmd_bench_diff(const util::CliArgs& args) {
-  try {
-    const double threshold = args.get_double("threshold", 0.25);
-    const tools::BenchDiffReport report = tools::bench_diff_files(
-        args.get("baseline"), args.get("current"), threshold);
-    std::cout << tools::format_bench_diff(report, threshold);
-    return tools::bench_diff_exit_code(report,
-                                       args.get_bool("report-improvement"));
-  } catch (const std::exception& e) {
-    // Input/usage problems get a distinct exit code so CI can tell a
-    // broken gate from a real perf regression.
-    std::cerr << "voprofctl: " << e.what() << '\n';
+  const double threshold = args.get_double("threshold", 0.25);
+  const util::Result<tools::BenchDiffReport> report = tools::bench_diff_files(
+      args.get("baseline"), args.get("current"), threshold);
+  if (!report.ok()) {
+    // Input problems get a distinct exit code so CI can tell a broken
+    // gate from a real perf regression.
+    std::cerr << "voprofctl: " << report.error().to_string() << '\n';
     return tools::kBenchDiffExitError;
   }
+  std::cout << tools::format_bench_diff(report.value(), threshold);
+  return tools::bench_diff_exit_code(report.value(),
+                                     args.get_bool("report-improvement"));
 }
 
 int dispatch(const tools::CommandLine& cl, const std::string& cmd,
@@ -479,6 +474,9 @@ int main(int argc, char** argv) {
         cl.parse_or_exit({words.begin() + (entry != nullptr ? 1 : 0),
                           words.end()});
     if (entry == nullptr) cl.fail("missing command");
+    // Every command's --jobs gets the runner's own bound.
+    const util::Result<runner::RunOptions> run = runner::options_from_cli(args);
+    if (!run.ok()) cl.fail(run.error().message);
 
     const int rc = dispatch(cl, entry->name, args);
 
