@@ -25,21 +25,23 @@ int main(int argc, char** argv) {
   namespace harness = voprof::bench::harness;
 
   using Kind = util::FlagSpec::Kind;
+  using Bound = util::FlagSpec::Bound;
   const tools::CommandLine cl = harness::command_line(
       argv[0], "[--jobs N] [--out FILE] [--duration SEC] [--seed S]",
-      {runner::jobs_flag(), {"out"}, {"duration", Kind::kNumber},
-       {"seed", Kind::kInteger}});
+      {runner::jobs_flag(),
+       {"out"},
+       {"duration", Kind::kNumber, Bound::kPositive},
+       {"seed", Kind::kInteger, Bound::kNonNegative}});
   const util::CliArgs args =
       cl.parse_or_exit(std::vector<std::string>(argv + 1, argv + argc));
-  util::Result<runner::RunOptions> opts = runner::options_from_cli(args);
-  if (!opts.ok()) cl.fail(opts.error().message);
   runner::MicroSweepConfig config;
   config.duration = util::seconds(args.get_double("duration", 30.0));
   config.base_seed = static_cast<std::uint64_t>(args.get_int("seed", 42));
   const std::string out_path = args.get_or("out", "");
 
   const auto t0 = std::chrono::steady_clock::now();
-  const util::CsvDocument csv = runner::run_micro_sweep(config, opts.value());
+  const util::CsvDocument csv =
+      runner::run_micro_sweep(config, runner::options_from_cli(args));
   harness::Session::global().record_section(
       "micro_sweep",
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

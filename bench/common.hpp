@@ -27,10 +27,8 @@ namespace voprof::bench {
 inline runner::RunOptions cli_options(int argc, const char* const* argv) {
   const tools::CommandLine cl =
       harness::command_line(argv[0], "[--jobs N]", {runner::jobs_flag()});
-  util::Result<runner::RunOptions> opts = runner::options_from_cli(
+  return runner::options_from_cli(
       cl.parse_or_exit(std::vector<std::string>(argv + 1, argv + argc)));
-  if (!opts.ok()) cl.fail(opts.error().message);
-  return std::move(opts).take();
 }
 
 /// Mean utilizations of one measured cell.

@@ -47,13 +47,12 @@ struct RunOptions {
   int jobs = 0;
 };
 
-/// The runner's flag, `--jobs N`, for a command's declared flags.
+/// The runner's flag, `--jobs N` (N >= 0), for a command's declared
+/// flags: CliArgs::parse rejects a negative value.
 [[nodiscard]] util::FlagSpec jobs_flag();
 
 /// RunOptions from a command line parsed with jobs_flag() declared.
-/// A negative --jobs is an Errc::kValidation error.
-[[nodiscard]] util::Result<RunOptions> options_from_cli(
-    const util::CliArgs& args);
+[[nodiscard]] RunOptions options_from_cli(const util::CliArgs& args);
 
 /// A TaskPool wrapped with the index-ordered mapping discipline the
 /// determinism guarantee rests on.

@@ -2,30 +2,30 @@
 /// \file scenario.hpp
 /// Declarative experiment runner: describe a testbed in a small INI
 /// file and run it — machines, guests with workloads, monitors — so
-/// new measurement studies need no C++. Used by `voprofctl simulate`.
-///
-/// ```ini
-/// [cluster]
-/// seed = 42
-/// machines = 2          # host PMs (a client/aux PM is just another machine)
-///
-/// [vm web]              # one section per guest
-/// machine = 0
-/// cpu = 55              # MixedWorkload levels; omit for idle
-/// bw = 1800
-/// bw_target_machine = 1 # optional: send traffic to a VM...
-/// bw_target_vm = sink   # ...instead of an external host
-///
-/// [vm sink]
-/// machine = 1
-///
-/// [monitor]             # one per machine to measure
-/// machine = 0
-///
-/// [run]
-/// duration = 60         # seconds
-/// warmup = 5
-/// ```
+/// new measurement studies need no C++. Used by `voprofctl simulate`
+/// and voprofd's `simulate` op; scenarios/*.conf are worked examples.
+/// The keys of each section (all optional, default shown):
+///   [cluster]     exactly one
+///     seed               integer >= 0, default 42
+///     machines           integer > 0, default 1
+///     scheduler          macro | micro, default macro
+///   [vm NAME]     one per guest, at least one; names are unique
+///     machine            integer >= 0, < machines, default 0
+///     cpu                number >= 0, <= 100 (percent), default 0
+///     mem / io / bw      number >= 0 (MiB, blocks/s, Kb/s), default 0
+///     bw_target_machine  integer >= 0, < machines  } both or neither:
+///     bw_target_vm       a VM on that machine      } traffic to a VM
+///     trace              CSV to replay (columns vm_cpu, optional
+///                        vm_mem/vm_io/vm_bw), read relative to the
+///                        working directory; excludes cpu/mem/io/bw
+///     trace_interval     number > 0, seconds per CSV row, default 1
+///   [monitor]     any number; none monitors machine 0
+///     machine            integer >= 0, < machines, default 0
+///   [run]         at most one
+///     duration           number > 0, seconds, default 60
+///     warmup             number >= 0, seconds, default 0
+/// Any other section kind or key is an Errc::kValidation error naming
+/// the section and the key.
 
 #include <functional>
 #include <map>
@@ -34,8 +34,9 @@
 #include <vector>
 
 #include "voprof/monitor/script.hpp"
-#include "voprof/util/ini.hpp"
+#include "voprof/util/result.hpp"
 #include "voprof/util/stats.hpp"
+#include "voprof/workloads/trace.hpp"
 #include "voprof/xensim/cluster.hpp"
 
 namespace voprof::scenario {
@@ -57,21 +58,25 @@ struct ScenarioSpec {
     double bw_kbps = 0.0;
     int bw_target_machine = sim::NetTarget::kExternal;
     std::string bw_target_vm;
-    /// Replay a recorded CSV trace (columns vm_{cpu,mem,io,bw}) instead
-    /// of steady levels; mutually exclusive with cpu/mem/io/bw keys.
-    std::string trace_path;
-    double trace_interval_s = 1.0;
+    /// The points of the `trace` CSV, read when the scenario was
+    /// loaded; empty for steady levels (mutually exclusive).
+    std::vector<wl::TracePoint> trace;
   };
   std::vector<VmEntry> vms;
   std::vector<int> monitored_machines;
 
-  /// Primary, non-throwing API: parse + validate from INI text.
-  /// Parse errors carry Errc::kParse with a line context; semantic
-  /// problems (duplicate VM names, out-of-range machine indices,
-  /// non-positive durations...) carry Errc::kValidation with the
-  /// offending section as context.
+  /// Parse + validate INI text. Parse errors carry Errc::kParse with a
+  /// line context; an unknown section kind or key, a value of the wrong
+  /// kind or out of its bound, and semantic problems (duplicate VM
+  /// names, out-of-range machine indices...) carry Errc::kValidation
+  /// with the offending section as context. Text names no file: a
+  /// `trace` key is an error here (voprofd serves scenarios from text,
+  /// and a request must not make it read a file).
   [[nodiscard]] static util::Result<ScenarioSpec> parse_result(
       const std::string& text);
+  /// Read and parse a scenario file; here a `trace` key is read too
+  /// (path relative to the working directory), and its CSV errors come
+  /// back with the [vm] section as context.
   [[nodiscard]] static util::Result<ScenarioSpec> load_result(
       const std::string& path);
 

@@ -89,8 +89,4 @@ struct Request {
 [[nodiscard]] std::string error_response(const std::string& id, ApiError code,
                                          const std::string& message);
 
-/// Map a loader/validation Error onto the closest ApiError (parse /
-/// validation / io / unsupported -> bad_request, internal -> internal).
-[[nodiscard]] ApiError api_error_from(const util::Error& err) noexcept;
-
 }  // namespace voprof::serve

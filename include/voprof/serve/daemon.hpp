@@ -113,7 +113,8 @@ class Daemon {
 /// `serve` flag set (--socket, which it declares required, --jobs,
 /// --queue-capacity, --default-deadline-ms, --max-deadline-ms,
 /// --train-duration, --seed, --inner-jobs, --enable-test-ops,
-/// --metrics-out). Out-of-range values are Errc::kValidation.
+/// --metrics-out), whose bounds the parse has checked. A default
+/// deadline above the maximum is Errc::kValidation.
 [[nodiscard]] util::Result<DaemonConfig> daemon_config_from_args(
     const util::CliArgs& args);
 

@@ -148,16 +148,17 @@ class Service {
   void run_request(const Request& req, std::int64_t expires_us,
                    const Responder& done);
   [[nodiscard]] std::string run_control(const Request& req);
-  [[nodiscard]] util::Json dispatch(const Request& req,
-                                    std::int64_t expires_us);
-  [[nodiscard]] util::Json op_predict(const util::Json& params,
-                                      std::int64_t expires_us);
-  [[nodiscard]] util::Json op_simulate(const util::Json& params,
-                                       std::int64_t expires_us);
-  [[nodiscard]] util::Json op_train(const util::Json& params,
-                                    std::int64_t expires_us);
-  [[nodiscard]] util::Json op_sleep(const util::Json& params,
-                                    std::int64_t expires_us);
+  /// A handler's answer: its result object or the wire error.
+  struct Reply;
+  [[nodiscard]] Reply dispatch(const Request& req, std::int64_t expires_us);
+  [[nodiscard]] Reply op_predict(const util::Json& params,
+                                 std::int64_t expires_us);
+  [[nodiscard]] Reply op_simulate(const util::Json& params,
+                                  std::int64_t expires_us);
+  [[nodiscard]] Reply op_train(const util::Json& params,
+                               std::int64_t expires_us);
+  [[nodiscard]] Reply op_sleep(const util::Json& params,
+                               std::int64_t expires_us);
   [[nodiscard]] util::Json status_json() const;
   [[nodiscard]] std::int64_t expiry_for(std::int64_t deadline_ms) const;
   void finish_one();

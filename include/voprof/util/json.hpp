@@ -27,7 +27,8 @@ class Json {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
 
   using Array = std::vector<Json>;
-  /// Insertion-ordered key/value list (no duplicate keys on insert).
+  /// Insertion-ordered key/value list (no duplicate keys: set() and the
+  /// parser overwrite a repeated key's value in its first position).
   using Object = std::vector<std::pair<std::string, Json>>;
 
   Json() = default;  // null
@@ -71,6 +72,12 @@ class Json {
   [[nodiscard]] const Json* find(std::string_view key) const noexcept;
   /// Object lookup; a missing key is a precondition failure.
   [[nodiscard]] const Json& at(std::string_view key) const;
+  /// Member `key` of an object, or `fallback` when it is absent. A
+  /// present member of another type is a precondition failure, so
+  /// input is read this way only after util::check_params.
+  [[nodiscard]] double number_or(std::string_view key, double fallback) const;
+  [[nodiscard]] std::string string_or(std::string_view key,
+                                      std::string fallback) const;
 
   /// Append to an array value (value must be an array).
   void push_back(Json v);

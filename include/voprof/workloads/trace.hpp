@@ -51,8 +51,11 @@ class TraceWorkload final : public sim::GuestProcess {
 
 /// Build a trace from a CSV with columns cpu/mem/io/bw (names
 /// configurable via `prefix`, e.g. "vm_" matches the monitor_demo
-/// dump). Every row becomes one point of `interval_s` seconds.
-[[nodiscard]] std::vector<TracePoint> trace_from_csv(
+/// dump; only the cpu column is required). Every row becomes one point
+/// of `interval_s` (> 0) seconds. A CSV without the cpu column, without
+/// rows or with a negative level is an Errc::kValidation error, so what
+/// returns is a trace TraceWorkload accepts.
+[[nodiscard]] util::Result<std::vector<TracePoint>> trace_from_csv(
     const util::CsvDocument& csv, const std::string& prefix = "vm_",
     double interval_s = 1.0);
 

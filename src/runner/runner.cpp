@@ -10,16 +10,12 @@
 namespace voprof::runner {
 
 util::FlagSpec jobs_flag() {
-  return {"jobs", util::FlagSpec::Kind::kInteger};
+  return {"jobs", util::FlagSpec::Kind::kInteger,
+          util::FlagSpec::Bound::kNonNegative};
 }
 
-util::Result<RunOptions> options_from_cli(const util::CliArgs& args) {
-  RunOptions opts;
-  opts.jobs = args.get_int("jobs", 0);
-  if (opts.jobs < 0) {
-    return util::Error{util::Errc::kValidation, "--jobs must be >= 0", {}};
-  }
-  return opts;
+RunOptions options_from_cli(const util::CliArgs& args) {
+  return RunOptions{args.get_int("jobs", 0)};
 }
 
 namespace {

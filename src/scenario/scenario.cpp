@@ -1,6 +1,7 @@
 #include "voprof/scenario/scenario.hpp"
 
-#include <fstream>
+#include <algorithm>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -9,170 +10,215 @@
 #include "voprof/obs/trace.hpp"
 #include "voprof/runner/runner.hpp"
 #include "voprof/util/assert.hpp"
+#include "voprof/util/cli.hpp"
+#include "voprof/util/csv.hpp"
+#include "voprof/util/ini.hpp"
 #include "voprof/util/numeric.hpp"
 #include "voprof/util/rng.hpp"
 #include "voprof/util/table.hpp"
 #include "voprof/util/task_pool.hpp"
-#include "voprof/util/csv.hpp"
 #include "voprof/workloads/hogs.hpp"
 #include "voprof/workloads/trace.hpp"
 #include "voprof/xensim/engine.hpp"
 
 namespace voprof::scenario {
 
-util::Result<ScenarioSpec> ScenarioSpec::parse_result(
-    const std::string& text) {
-  util::Result<util::IniDocument> parsed = util::IniDocument::parse_result(text);
-  if (!parsed.ok()) return parsed.error();
-  const util::IniDocument doc = std::move(parsed).take();
+namespace {
 
-  const auto fail = [](const std::string& section, const std::string& msg) {
-    return util::Error{util::Errc::kValidation, msg, section};
+constexpr auto kInt = util::FlagSpec::Kind::kInteger;
+constexpr auto kNum = util::FlagSpec::Kind::kNumber;
+constexpr auto kNonNeg = util::FlagSpec::Bound::kNonNegative;
+constexpr auto kPos = util::FlagSpec::Bound::kPositive;
+
+/// The keys of each section kind (scenario.hpp lists them).
+const std::map<std::string, std::vector<util::FlagSpec>>& section_keys() {
+  static const std::map<std::string, std::vector<util::FlagSpec>> table = {
+      {"cluster",
+       {{"seed", kInt, kNonNeg}, {"machines", kInt, kPos},
+        {"scheduler", util::FlagSpec::Kind::kText,
+         util::FlagSpec::Bound::kNone, false, {"macro", "micro"}}}},
+      {"monitor", {{"machine", kInt, kNonNeg}}},
+      {"run", {{"duration", kNum, kPos}, {"warmup", kNum, kNonNeg}}},
+      {"vm",
+       {{"machine", kInt, kNonNeg}, {"cpu", kNum, kNonNeg},
+        {"mem", kNum, kNonNeg}, {"io", kNum, kNonNeg}, {"bw", kNum, kNonNeg},
+        {"bw_target_machine", kInt, kNonNeg}, {"bw_target_vm"}, {"trace"},
+        {"trace_interval", kNum, kPos}}}};
+  return table;
+}
+
+util::Error invalid(const std::string& section, std::string message) {
+  return util::Error{util::Errc::kValidation, std::move(message), section};
+}
+
+/// The points of a VM's `trace` CSV (path relative to the working
+/// directory); errors name the file.
+util::Result<std::vector<wl::TracePoint>> load_trace(const std::string& path,
+                                                     double interval_s) {
+  const util::Result<util::CsvDocument> csv =
+      util::CsvDocument::load_result(path);
+  util::Result<std::vector<wl::TracePoint>> points =
+      csv.ok() ? wl::trace_from_csv(csv.value(), "vm_", interval_s)
+               : csv.error();
+  if (points.ok()) return points;
+  util::Error err = points.error();
+  err.message = "trace " + path + ": " + err.message;
+  if (csv.ok()) err.message += " (" + err.context + ")";
+  return err;
+}
+
+util::Result<ScenarioSpec> parse_spec(const std::string& text,
+                                      bool may_read_traces) {
+  const util::Result<std::vector<util::IniSection>> parsed =
+      util::parse_ini(text);
+  if (!parsed.ok()) return parsed.error();
+  const std::vector<util::IniSection>& sections = parsed.value();
+  const auto label = [&sections](std::size_t i) {
+    const util::IniSection& s = sections[i];
+    return "[" + s.kind + (s.name.empty() ? "" : " " + s.name) + "]";
   };
 
-  // The typed section accessors (get_int/get_double/unique) report
-  // malformed values through ContractViolation; fold those into the
-  // Result surface as parse errors.
-  try {
-    ScenarioSpec spec;
+  // Every section checked against its kind's keys first: after this,
+  // reading a value cannot fail.
+  std::vector<util::CliArgs> keys;
+  std::map<std::string, int> count;
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const auto kind = section_keys().find(sections[i].kind);
+    if (kind == section_keys().end()) {
+      std::string valid;
+      for (const auto& [k, unused] : section_keys()) {
+        valid += (valid.empty() ? "" : ", ") + k;
+      }
+      return invalid(label(i), "unknown section kind '" + sections[i].kind +
+                                   "' (valid: " + valid + ")");
+    }
+    if (++count[kind->first] > 1 && (kind->first == "cluster" ||
+                                     kind->first == "run")) {
+      return invalid(label(i), "more than one [" + kind->first + "] section");
+    }
+    util::Result<util::CliArgs> checked =
+        util::CliArgs::check(sections[i].entries, kind->second);
+    if (!checked.ok()) return invalid(label(i), checked.error().message);
+    keys.push_back(std::move(checked).take());
+  }
+  if (count["cluster"] == 0) {
+    return invalid("[cluster]", "scenario needs a [cluster] section");
+  }
+  if (count["vm"] == 0) {
+    return invalid("[vm]", "scenario needs at least one [vm] section");
+  }
 
-    const util::IniSection& cluster = doc.unique("cluster");
-    const int seed = cluster.get_int("seed", 42);
-    if (seed < 0) return fail("[cluster]", "seed must be >= 0");
-    spec.seed = static_cast<std::uint64_t>(seed);
-    spec.machines = cluster.get_int("machines", 1);
-    if (spec.machines < 1) return fail("[cluster]", "machines must be >= 1");
-    const std::string sched = cluster.get_or("scheduler", "macro");
-    if (sched == "macro") {
-      spec.scheduler = sim::SchedulerMode::kMacro;
-    } else if (sched == "micro") {
-      spec.scheduler = sim::SchedulerMode::kMicro;
-    } else {
-      return fail("[cluster]", "scheduler must be macro|micro, got: " + sched);
-    }
-
-    if (doc.has_kind("run")) {
-      const util::IniSection& run = doc.unique("run");
-      spec.duration_s = run.get_double("duration", 60.0);
-      spec.warmup_s = run.get_double("warmup", 0.0);
-    }
-    if (!(spec.duration_s > 0.0)) {
-      return fail("[run]", "duration must be > 0, got " +
-                               util::format_double(spec.duration_s));
-    }
-    if (!(spec.warmup_s >= 0.0)) {
-      return fail("[run]", "warmup must be >= 0, got " +
-                               util::format_double(spec.warmup_s));
-    }
-
-    for (const util::IniSection* vm : doc.of_kind("vm")) {
-      VmEntry e;
-      e.name = vm->name;
-      if (e.name.empty()) return fail("[vm]", "sections need a name");
-      const std::string section = "[vm " + e.name + "]";
-      e.machine = vm->get_int("machine", 0);
-      if (e.machine < 0 || e.machine >= spec.machines) {
-        return fail(section, "machine index " + std::to_string(e.machine) +
-                                 " out of range [0, " +
-                                 std::to_string(spec.machines) + ")");
-      }
-      e.cpu_pct = vm->get_double("cpu", 0.0);
-      e.mem_mib = vm->get_double("mem", 0.0);
-      e.io_blocks = vm->get_double("io", 0.0);
-      e.bw_kbps = vm->get_double("bw", 0.0);
-      if (e.cpu_pct < 0 || e.mem_mib < 0 || e.io_blocks < 0 || e.bw_kbps < 0) {
-        return fail(section, "workload levels must be >= 0");
-      }
-      e.trace_path = vm->get_or("trace", "");
-      e.trace_interval_s = vm->get_double("trace_interval", 1.0);
-      if (!e.trace_path.empty() &&
-          (e.cpu_pct != 0 || e.mem_mib != 0 || e.io_blocks != 0 ||
-           e.bw_kbps != 0)) {
-        return fail(section, "trace and steady levels are exclusive");
-      }
-      if (!(e.trace_interval_s > 0.0)) {
-        return fail(section, "trace_interval must be > 0");
-      }
-      e.bw_target_machine =
-          vm->get_int("bw_target_machine", sim::NetTarget::kExternal);
-      e.bw_target_vm = vm->get_or("bw_target_vm", "");
-      if ((e.bw_target_machine == sim::NetTarget::kExternal) !=
-          e.bw_target_vm.empty()) {
-        return fail(section, "bw_target_machine and bw_target_vm go together");
-      }
-      // VM names are a namespace of their own: bw targets and request
-      // APIs address guests by name, so a duplicate name is ambiguous
-      // even across machines.
-      for (const auto& other : spec.vms) {
-        if (other.name == e.name) {
-          return fail(section,
-                      "duplicate VM name (already declared on machine " +
-                          std::to_string(other.machine) + ")");
-        }
-      }
-      spec.vms.push_back(std::move(e));
-    }
-    if (spec.vms.empty()) {
-      return fail("[vm]", "scenario needs at least one [vm] section");
-    }
-
-    for (const util::IniSection* m : doc.of_kind("monitor")) {
-      const int idx = m->get_int("machine", 0);
-      if (idx < 0 || idx >= spec.machines) {
-        return fail("[monitor]", "machine index " + std::to_string(idx) +
-                                     " out of range [0, " +
-                                     std::to_string(spec.machines) + ")");
+  ScenarioSpec spec;
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    if (sections[i].kind != "cluster") continue;
+    spec.seed = static_cast<std::uint64_t>(keys[i].get_int("seed", 42));
+    spec.machines = keys[i].get_int("machines", 1);
+    spec.scheduler = keys[i].get_or("scheduler", "macro") == "micro"
+                         ? sim::SchedulerMode::kMicro
+                         : sim::SchedulerMode::kMacro;
+  }
+  const auto machine_error = [&spec](int index) {
+    return "machine index " + std::to_string(index) + " out of range [0, " +
+           std::to_string(spec.machines) + ")";
+  };
+  for (std::size_t i = 0; i < sections.size(); ++i) {
+    const util::CliArgs& a = keys[i];
+    if (sections[i].kind == "run") {
+      spec.duration_s = a.get_double("duration", 60.0);
+      spec.warmup_s = a.get_double("warmup", 0.0);
+    } else if (sections[i].kind == "monitor") {
+      const int idx = a.get_int("machine", 0);
+      if (idx >= spec.machines) {
+        return invalid(label(i), machine_error(idx));
       }
       spec.monitored_machines.push_back(idx);
     }
-    if (spec.monitored_machines.empty()) {
-      spec.monitored_machines.push_back(0);  // monitor the first machine
+    if (sections[i].kind != "vm") continue;
+    ScenarioSpec::VmEntry e;
+    e.name = sections[i].name;
+    if (e.name.empty()) return invalid("[vm]", "sections need a name");
+    e.machine = a.get_int("machine", 0);
+    if (e.machine >= spec.machines) {
+      return invalid(label(i), machine_error(e.machine));
     }
-
-    // Cross-validate bw targets.
-    for (const auto& vm : spec.vms) {
-      if (vm.bw_target_machine == sim::NetTarget::kExternal) continue;
-      const std::string section = "[vm " + vm.name + "]";
-      if (vm.bw_target_machine < 0 || vm.bw_target_machine >= spec.machines) {
-        return fail(section, "bw_target_machine " +
-                                 std::to_string(vm.bw_target_machine) +
-                                 " out of range [0, " +
-                                 std::to_string(spec.machines) + ")");
+    e.cpu_pct = a.get_double("cpu", 0.0);
+    e.mem_mib = a.get_double("mem", 0.0);
+    e.io_blocks = a.get_double("io", 0.0);
+    e.bw_kbps = a.get_double("bw", 0.0);
+    if (e.cpu_pct > 100.0) {
+      return invalid(label(i), "cpu must be <= 100, got " +
+                                   util::format_double(e.cpu_pct));
+    }
+    if (a.has("trace")) {
+      if (e.cpu_pct != 0 || e.mem_mib != 0 || e.io_blocks != 0 ||
+          e.bw_kbps != 0) {
+        return invalid(label(i), "trace and steady levels are exclusive");
       }
-      bool found = false;
-      for (const auto& other : spec.vms) {
-        if (other.name == vm.bw_target_vm &&
-            other.machine == vm.bw_target_machine) {
-          found = true;
-          break;
-        }
+      if (!may_read_traces) {
+        return invalid(label(i),
+                       "key 'trace' names a file, which only a scenario "
+                       "loaded from a file may do");
       }
-      if (!found) {
-        return fail(section, "bw target '" + vm.bw_target_vm +
-                                 "' not found on machine " +
-                                 std::to_string(vm.bw_target_machine));
+      util::Result<std::vector<wl::TracePoint>> trace =
+          load_trace(a.get("trace"), a.get_double("trace_interval", 1.0));
+      if (!trace.ok()) return invalid(label(i), trace.error().message);
+      e.trace = std::move(trace).take();
+    }
+    e.bw_target_machine =
+        a.get_int("bw_target_machine", sim::NetTarget::kExternal);
+    e.bw_target_vm = a.get_or("bw_target_vm", "");
+    if ((e.bw_target_machine == sim::NetTarget::kExternal) !=
+        e.bw_target_vm.empty()) {
+      return invalid(label(i),
+                     "bw_target_machine and bw_target_vm go together");
+    }
+    // VM names are a namespace of their own: bw targets and request
+    // APIs address guests by name, so a duplicate name is ambiguous
+    // even across machines.
+    for (const auto& other : spec.vms) {
+      if (other.name == e.name) {
+        return invalid(label(i),
+                       "duplicate VM name (already declared on machine " +
+                           std::to_string(other.machine) + ")");
       }
     }
-    return spec;
-  } catch (const util::ContractViolation& e) {
-    return util::Error{util::Errc::kParse, e.what(), "scenario"};
+    spec.vms.push_back(std::move(e));
   }
+  if (spec.monitored_machines.empty()) {
+    spec.monitored_machines.push_back(0);  // monitor the first machine
+  }
+
+  // Cross-validate bw targets.
+  for (const auto& vm : spec.vms) {
+    if (vm.bw_target_machine == sim::NetTarget::kExternal) continue;
+    if (vm.bw_target_machine >= spec.machines) {
+      return invalid("[vm " + vm.name + "]",
+                     "bw_target_" + machine_error(vm.bw_target_machine));
+    }
+    if (std::none_of(spec.vms.begin(), spec.vms.end(), [&vm](const auto& o) {
+          return o.name == vm.bw_target_vm &&
+                 o.machine == vm.bw_target_machine;
+        })) {
+      return invalid("[vm " + vm.name + "]",
+                     "bw target '" + vm.bw_target_vm +
+                         "' not found on machine " +
+                         std::to_string(vm.bw_target_machine));
+    }
+  }
+  return spec;
+}
+
+}  // namespace
+
+util::Result<ScenarioSpec> ScenarioSpec::parse_result(
+    const std::string& text) {
+  return parse_spec(text, /*may_read_traces=*/false);
 }
 
 util::Result<ScenarioSpec> ScenarioSpec::load_result(const std::string& path) {
-  std::ifstream f(path);
-  if (!f.good()) {
-    return util::Error{util::Errc::kIo, "cannot open scenario", path};
-  }
-  std::ostringstream os;
-  os << f.rdbuf();
-  util::Result<ScenarioSpec> parsed = parse_result(os.str());
-  if (!parsed.ok()) {
-    util::Error err = parsed.error();
-    err.context = path + ": " + err.context;
-    return err;
-  }
-  return parsed;
+  return util::load_file_result(path, [](const std::string& text) {
+    return parse_spec(text, /*may_read_traces=*/true);
+  });
 }
 
 ScenarioSpec ScenarioSpec::parse(const std::string& text) {
@@ -205,12 +251,9 @@ ScenarioResult run_scenario(const ScenarioSpec& spec) {
     if (vm.bw_target_machine != sim::NetTarget::kExternal) {
       trace_target = sim::NetTarget{vm.bw_target_machine, vm.bw_target_vm};
     }
-    if (!vm.trace_path.empty()) {
-      dom.attach(std::make_unique<wl::TraceWorkload>(
-          wl::trace_from_csv(
-              util::CsvDocument::load_result(vm.trace_path).value_or_throw(),
-              "vm_", vm.trace_interval_s),
-          trace_target, /*loop=*/true));
+    if (!vm.trace.empty()) {
+      dom.attach(std::make_unique<wl::TraceWorkload>(vm.trace, trace_target,
+                                                     /*loop=*/true));
     } else if (vm.cpu_pct > 0 || vm.mem_mib > 0 || vm.io_blocks > 0 ||
                vm.bw_kbps > 0) {
       wl::MixedWorkload::Levels levels;

@@ -1,6 +1,9 @@
 #include "voprof/serve/api.hpp"
 
 #include <algorithm>
+#include <vector>
+
+#include "voprof/util/cli.hpp"
 
 namespace voprof::serve {
 
@@ -58,64 +61,39 @@ util::Result<Request> parse_request(const std::string& line) {
     return err;
   }
   const util::Json doc = std::move(parsed).take();
-  if (!doc.is_object()) {
-    return util::Error{util::Errc::kValidation,
-                       "request must be a JSON object", "request"};
+  // The envelope's fields pass the same key table check as an op's
+  // params, so a typo ("deadline": ...) fails loudly instead of running
+  // with the default.
+  using F = util::FlagSpec;
+  static const std::vector<F> fields = {
+      {"api", F::Kind::kText, F::Bound::kNone, false, {kApiVersion}},
+      {"id"},
+      {"op", F::Kind::kText, F::Bound::kNone, true},
+      {"deadline_ms", F::Kind::kNumber, F::Bound::kNonNegative},
+      {"params", F::Kind::kObject}};
+  const util::Result<bool> checked =
+      doc.is_object() ? util::check_params(doc, fields, "field")
+                      : util::Error{util::Errc::kValidation,
+                                    "request must be a JSON object", {}};
+  if (!checked.ok()) {
+    util::Error err = checked.error();
+    err.context = "request";
+    return err;
   }
-  const auto fail = [](const std::string& field, const std::string& msg) {
-    return util::Error{util::Errc::kValidation, msg, "request." + field};
-  };
-
-  if (const util::Json* api = doc.find("api")) {
-    if (!api->is_string() || api->as_string() != kApiVersion) {
-      return fail("api", std::string("unsupported api version (want '") +
-                             kApiVersion + "')");
-    }
-  }
+  const util::Result<Op> op = op_from_name(doc.at("op").as_string());
+  if (!op.ok()) return op.error();
 
   Request req;
-  if (const util::Json* id = doc.find("id")) {
-    if (!id->is_string()) return fail("id", "id must be a string");
-    req.id = id->as_string();
-  }
-
-  const util::Json* op = doc.find("op");
-  if (op == nullptr) return fail("op", "missing required field 'op'");
-  if (!op->is_string()) return fail("op", "op must be a string");
-  util::Result<Op> parsed_op = op_from_name(op->as_string());
-  if (!parsed_op.ok()) return parsed_op.error();
-  req.op = parsed_op.value();
-
-  if (const util::Json* deadline = doc.find("deadline_ms")) {
-    if (!deadline->is_number() || deadline->as_number() < 0) {
-      return fail("deadline_ms", "deadline_ms must be a number >= 0");
-    }
-    // Clamp before the cast: a static_cast of 1e300 is undefined (x86
-    // yields INT64_MIN, read downstream as "use the default"). Anything
-    // this large is past every max_deadline_ms, which Service applies.
-    constexpr double kLongestDeadlineMs = 0x1p53;
-    req.deadline_ms = static_cast<std::int64_t>(
-        std::min(deadline->as_number(), kLongestDeadlineMs));
-  }
-
-  if (const util::Json* params = doc.find("params")) {
-    if (!params->is_object()) {
-      return fail("params", "params must be an object");
-    }
-    req.params = *params;
-  } else {
-    req.params = util::Json::object();
-  }
-
-  // Reject unknown envelope keys so typos ("deadline": ...) fail loudly
-  // instead of silently running with the default.
-  for (const auto& [key, value] : doc.as_object()) {
-    (void)value;
-    if (key != "api" && key != "id" && key != "op" && key != "deadline_ms" &&
-        key != "params") {
-      return fail(key, "unknown request field '" + key + "'");
-    }
-  }
+  req.op = op.value();
+  req.id = doc.string_or("id", "");
+  // Clamp before the cast: a static_cast of 1e300 is undefined (x86
+  // yields INT64_MIN, read downstream as "use the default"). Anything
+  // this large is past every max_deadline_ms, which Service applies.
+  constexpr double kLongestDeadlineMs = 0x1p53;
+  req.deadline_ms = static_cast<std::int64_t>(
+      std::min(doc.number_or("deadline_ms", 0.0), kLongestDeadlineMs));
+  const util::Json* params = doc.find("params");
+  req.params = params != nullptr ? *params : util::Json::object();
   return req;
 }
 
@@ -139,19 +117,6 @@ std::string error_response(const std::string& id, ApiError code,
   resp.set("ok", false);
   resp.set("error", std::move(err));
   return resp.dump(/*indent=*/0);
-}
-
-ApiError api_error_from(const util::Error& err) noexcept {
-  switch (err.code) {
-    case util::Errc::kParse:
-    case util::Errc::kValidation:
-    case util::Errc::kIo:
-    case util::Errc::kUnsupported:
-      return ApiError::kBadRequest;
-    case util::Errc::kInternal:
-      return ApiError::kInternal;
-  }
-  return ApiError::kInternal;
 }
 
 }  // namespace voprof::serve

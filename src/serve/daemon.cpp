@@ -343,40 +343,25 @@ void Daemon::final_flush() {
 
 util::Result<DaemonConfig> daemon_config_from_args(
     const util::CliArgs& args) {
-  const util::Result<runner::RunOptions> run = runner::options_from_cli(args);
-  if (!run.ok()) return run.error();
   DaemonConfig config;
   config.socket_path = args.get("socket");
   config.metrics_out = args.get_or("metrics-out", "");
-  config.service.jobs = run.value().jobs;
-  const int capacity = args.get_int("queue-capacity", 64);
-  if (capacity < 1) {
-    return util::Error{util::Errc::kValidation,
-                       "--queue-capacity must be >= 1", "serve"};
-  }
-  config.service.queue_capacity = static_cast<std::size_t>(capacity);
+  config.service.jobs = runner::options_from_cli(args).jobs;
+  config.service.queue_capacity =
+      static_cast<std::size_t>(args.get_int("queue-capacity", 64));
   config.service.default_deadline_ms =
       args.get_int("default-deadline-ms", 30000);
   config.service.max_deadline_ms = args.get_int("max-deadline-ms", 600000);
-  if (config.service.default_deadline_ms < 1 ||
-      config.service.max_deadline_ms < config.service.default_deadline_ms) {
-    return util::Error{
-        util::Errc::kValidation,
-        "need 1 <= --default-deadline-ms <= --max-deadline-ms", "serve"};
+  if (config.service.max_deadline_ms < config.service.default_deadline_ms) {
+    return util::Error{util::Errc::kValidation,
+                       "need --default-deadline-ms <= --max-deadline-ms",
+                       "serve"};
   }
   config.service.train_duration_s = args.get_double("train-duration", 120.0);
-  if (config.service.train_duration_s <= 0) {
-    return util::Error{util::Errc::kValidation,
-                       "--train-duration must be > 0", "serve"};
-  }
   config.service.default_seed =
       static_cast<std::uint64_t>(args.get_int("seed", 42));
   config.service.inner_jobs = args.get_int("inner-jobs", 1);
-  if (config.service.inner_jobs < 0) {
-    return util::Error{util::Errc::kValidation, "--inner-jobs must be >= 0",
-                       "serve"};
-  }
-  config.service.enable_test_ops = args.get_bool("enable-test-ops");
+  config.service.enable_test_ops = args.has("enable-test-ops");
   return config;
 }
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <future>
-#include <initializer_list>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -13,31 +12,20 @@
 #include "voprof/obs/trace.hpp"
 #include "voprof/runner/runner.hpp"
 #include "voprof/scenario/scenario.hpp"
-#include "voprof/util/numeric.hpp"
+#include "voprof/util/cli.hpp"
 #include "voprof/util/units.hpp"
 
 namespace voprof::serve {
 
 namespace {
 
-/// Handler-internal control flow: handlers signal a structured API
-/// failure (bad params, expired deadline, ...) by throwing; dispatch's
-/// caller turns it into the wire error. Anything else escaping a
-/// handler is reported as `internal`.
-struct ApiFailure {
-  ApiError code;
-  std::string message;
-};
+constexpr auto kNum = util::FlagSpec::Kind::kNumber;
+constexpr auto kInt = util::FlagSpec::Kind::kInteger;
+constexpr auto kNonNeg = util::FlagSpec::Bound::kNonNegative;
+constexpr auto kPos = util::FlagSpec::Bound::kPositive;
 
-[[noreturn]] void fail(ApiError code, std::string message) {
-  throw ApiFailure{code, std::move(message)};
-}
-
-void check_deadline(std::int64_t expires_us, const char* where) {
-  if (obs::monotonic_us() >= expires_us) {
-    fail(ApiError::kTimedOut,
-         std::string("deadline expired (") + where + ")");
-  }
+bool expired(std::int64_t expires_us) {
+  return obs::monotonic_us() >= expires_us;
 }
 
 // --- obs mirrors (function-local statics: registration is lazy and
@@ -89,65 +77,63 @@ obs::Histogram& m_request_ms() {
   return h;
 }
 
-// --- typed params access --------------------------------------------
-void check_param_keys(const util::Json& params,
-                      std::initializer_list<const char*> allowed) {
-  if (!params.is_object()) return;  // a default-built Request has null params
-  for (const auto& [key, value] : params.as_object()) {
-    (void)value;
-    bool known = false;
-    for (const char* a : allowed) {
-      if (key == a) {
-        known = true;
-        break;
-      }
-    }
-    if (!known) {
-      fail(ApiError::kBadRequest, "unknown param '" + key + "'");
-    }
+/// The params each queued op accepts (docs/API.md lists them).
+const std::vector<util::FlagSpec>& params_of(Op op) {
+  using F = util::FlagSpec;
+  static const F method{"method", F::Kind::kText, F::Bound::kNone, false,
+                        {"lms", "ols"}};
+  static const std::vector<F> predict = {
+      method, {"cpu", kNum, kNonNeg}, {"mem", kNum, kNonNeg},
+      {"io", kNum, kNonNeg}, {"bw", kNum, kNonNeg}, {"vms", kInt, kPos},
+      {"train_duration_s", kNum, kPos}, {"seed", kInt, kNonNeg}};
+  static const std::vector<F> simulate = {
+      {"scenario", F::Kind::kText, F::Bound::kNone, true},
+      {"replications", kInt, kPos}};
+  static const std::vector<F> train = {
+      method, {"duration_s", kNum, kPos}, {"seed", kInt, kNonNeg}};
+  static const std::vector<F> sleep = {{"ms", kNum, kNonNeg}};
+  static const std::vector<F> none;
+  switch (op) {
+    case Op::kPredict:
+      return predict;
+    case Op::kSimulate:
+      return simulate;
+    case Op::kTrain:
+      return train;
+    case Op::kSleep:
+      return sleep;
+    default:
+      return none;
   }
 }
 
-double num_param(const util::Json& params, const char* key, double def) {
-  const util::Json* v = params.find(key);
-  if (v == nullptr) return def;
-  if (!v->is_number()) {
-    fail(ApiError::kBadRequest,
-         std::string("param '") + key + "' must be a number");
-  }
-  return v->as_number();
-}
-
-int int_param(const util::Json& params, const char* key, int def) {
-  const double v = num_param(params, key, static_cast<double>(def));
-  int i = 0;
-  if (!util::exact_int(v, i)) {
-    fail(ApiError::kBadRequest,
-         std::string("param '") + key + "' must be an integer");
-  }
-  return i;
-}
-
-std::string str_param(const util::Json& params, const char* key,
-                      const std::string& def) {
-  const util::Json* v = params.find(key);
-  if (v == nullptr) return def;
-  if (!v->is_string()) {
-    fail(ApiError::kBadRequest,
-         std::string("param '") + key + "' must be a string");
-  }
-  return v->as_string();
-}
-
-model::RegressionMethod method_param(const util::Json& params) {
-  const std::string name = str_param(params, "method", "lms");
-  if (name == "lms") return model::RegressionMethod::kLms;
-  if (name == "ols") return model::RegressionMethod::kOls;
-  fail(ApiError::kBadRequest,
-       "param 'method' must be lms or ols, got '" + name + "'");
+/// `method` of checked params.
+model::RegressionMethod method_of(const util::Json& params) {
+  return params.string_or("method", "lms") == "ols"
+             ? model::RegressionMethod::kOls
+             : model::RegressionMethod::kLms;
 }
 
 }  // namespace
+
+/// One return type for every handler: a result object or an
+/// (ApiError, message) pair, so run_request sees each outcome as a
+/// value.
+struct Service::Reply {
+  Reply(util::Json r) : result(std::move(r)) {}  // NOLINT(*-explicit-*)
+  Reply(ApiError c, std::string m)
+      : failed(true), code(c), message(std::move(m)) {}
+  /// The answer of a request whose deadline passed at `where`.
+  static Reply timed_out(const char* where) {
+    return {ApiError::kTimedOut, std::string("deadline expired (") + where +
+                                     ")"};
+  }
+
+  util::Json result;
+  bool failed = false;
+  ApiError code = ApiError::kInternal;
+  std::string message;
+};
 
 util::Json predict_result_json(const model::TrainedModels& models,
                                const model::UtilVec& sum, int n_vms) {
@@ -351,19 +337,21 @@ void Service::run_request(const Request& req, std::int64_t expires_us,
   } else {
     try {
       VOPROF_WALL_SPAN("serve", op_name(req.op));
-      util::Json result = dispatch(req, expires_us);
-      completed_.fetch_add(1, std::memory_order_relaxed);
-      m_completed().add();
-      response = ok_response(req.id, std::move(result));
-    } catch (const ApiFailure& f) {
-      if (f.code == ApiError::kTimedOut) {
-        timed_out_.fetch_add(1, std::memory_order_relaxed);
-        m_timed_out().add();
+      Reply reply = dispatch(req, expires_us);
+      if (!reply.failed) {
+        completed_.fetch_add(1, std::memory_order_relaxed);
+        m_completed().add();
+        response = ok_response(req.id, std::move(reply.result));
       } else {
-        failed_.fetch_add(1, std::memory_order_relaxed);
-        m_failed().add();
+        if (reply.code == ApiError::kTimedOut) {
+          timed_out_.fetch_add(1, std::memory_order_relaxed);
+          m_timed_out().add();
+        } else {
+          failed_.fetch_add(1, std::memory_order_relaxed);
+          m_failed().add();
+        }
+        response = error_response(req.id, reply.code, reply.message);
       }
-      response = error_response(req.id, f.code, f.message);
     } catch (const std::exception& e) {
       failed_.fetch_add(1, std::memory_order_relaxed);
       m_failed().add();
@@ -391,7 +379,12 @@ std::string Service::run_control(const Request& req) {
   return ok_response(req.id, status_json());
 }
 
-util::Json Service::dispatch(const Request& req, std::int64_t expires_us) {
+Service::Reply Service::dispatch(const Request& req,
+                                std::int64_t expires_us) {
+  // Checked once here: the handlers read their params without fail.
+  const util::Result<bool> checked =
+      util::check_params(req.params, params_of(req.op));
+  if (!checked.ok()) return {ApiError::kBadRequest, checked.error().message};
   switch (req.op) {
     case Op::kPredict:
       return op_predict(req.params, expires_us);
@@ -406,92 +399,72 @@ util::Json Service::dispatch(const Request& req, std::int64_t expires_us) {
     case Op::kMetrics:
       break;  // handled inline by submit(); unreachable here
   }
-  fail(ApiError::kInternal,
-       std::string("op '") + op_name(req.op) + "' is not queueable");
+  return {ApiError::kInternal,
+          std::string("op '") + op_name(req.op) + "' is not queueable"};
 }
 
-util::Json Service::op_predict(const util::Json& params,
-                               std::int64_t expires_us) {
-  check_param_keys(params, {"method", "cpu", "mem", "io", "bw", "vms",
-                            "train_duration_s", "seed"});
-  const model::RegressionMethod method = method_param(params);
+Service::Reply Service::op_predict(const util::Json& params,
+                                   std::int64_t expires_us) {
   const model::UtilVec sum{
-      num_param(params, "cpu", 0.0), num_param(params, "mem", 0.0),
-      num_param(params, "io", 0.0), num_param(params, "bw", 0.0)};
-  const int n_vms = int_param(params, "vms", 1);
-  if (n_vms < 1) fail(ApiError::kBadRequest, "param 'vms' must be >= 1");
+      params.number_or("cpu", 0.0), params.number_or("mem", 0.0),
+      params.number_or("io", 0.0), params.number_or("bw", 0.0)};
+  const int n_vms = static_cast<int>(params.number_or("vms", 1));
   const double duration_s =
-      num_param(params, "train_duration_s", config_.train_duration_s);
-  if (duration_s <= 0) {
-    fail(ApiError::kBadRequest, "param 'train_duration_s' must be > 0");
-  }
-  const std::uint64_t seed = static_cast<std::uint64_t>(int_param(
-      params, "seed", static_cast<int>(config_.default_seed)));
+      params.number_or("train_duration_s", config_.train_duration_s);
+  const auto seed = static_cast<std::uint64_t>(
+      params.number_or("seed", static_cast<double>(config_.default_seed)));
 
   // First use of a (method, duration, seed) cell trains the models;
   // afterwards the process-wide cache answers instantly. The fitted
   // coefficients are independent of inner_jobs, so responses are
   // byte-identical no matter how the daemon is parallelized.
-  check_deadline(expires_us, "before training");
+  if (expired(expires_us)) return Reply::timed_out("before training");
   const model::TrainedModels& models = runner::model_cache().get(
-      method, util::seconds(duration_s), seed, config_.inner_jobs);
-  check_deadline(expires_us, "after training");
-
+      method_of(params), util::seconds(duration_s), seed, config_.inner_jobs);
+  if (expired(expires_us)) return Reply::timed_out("after training");
   return predict_result_json(models, sum, n_vms);
 }
 
-util::Json Service::op_simulate(const util::Json& params,
-                                std::int64_t expires_us) {
-  check_param_keys(params, {"scenario", "replications"});
-  const std::string text = str_param(params, "scenario", "");
-  if (text.empty()) {
-    fail(ApiError::kBadRequest,
-         "param 'scenario' (INI text) is required for simulate");
-  }
-  const int replications = int_param(params, "replications", 1);
-  if (replications < 1) {
-    fail(ApiError::kBadRequest, "param 'replications' must be >= 1");
-  }
+Service::Reply Service::op_simulate(const util::Json& params,
+                                    std::int64_t expires_us) {
+  const int replications =
+      static_cast<int>(params.number_or("replications", 1));
+  // Parsed from text, a scenario names no file: a `trace` key is a
+  // bad_request before anything is opened.
   util::Result<scenario::ScenarioSpec> parsed =
-      scenario::ScenarioSpec::parse_result(text);
+      scenario::ScenarioSpec::parse_result(params.at("scenario").as_string());
   if (!parsed.ok()) {
-    fail(ApiError::kBadRequest, parsed.error().to_string());
+    return {ApiError::kBadRequest, parsed.error().to_string()};
   }
   const scenario::ScenarioSpec spec = std::move(parsed).take();
 
-  check_deadline(expires_us, "before simulation");
+  if (expired(expires_us)) return Reply::timed_out("before simulation");
   const scenario::ReplicatedScenarioResult result =
       scenario::run_scenario_replicated(
           spec, static_cast<std::size_t>(replications), config_.inner_jobs,
-          [expires_us]() { return obs::monotonic_us() < expires_us; });
+          [expires_us]() { return !expired(expires_us); });
   if (result.replications < static_cast<std::size_t>(replications)) {
-    fail(ApiError::kTimedOut,
-         "deadline expired after " + std::to_string(result.replications) +
-             " of " + std::to_string(replications) + " replications");
+    return {ApiError::kTimedOut,
+            "deadline expired after " + std::to_string(result.replications) +
+                " of " + std::to_string(replications) + " replications"};
   }
-
   return simulate_result_json(result);
 }
 
-util::Json Service::op_train(const util::Json& params,
-                             std::int64_t expires_us) {
-  check_param_keys(params, {"method", "duration_s", "seed"});
-  const model::RegressionMethod method = method_param(params);
+Service::Reply Service::op_train(const util::Json& params,
+                                 std::int64_t expires_us) {
   const double duration_s =
-      num_param(params, "duration_s", config_.train_duration_s);
-  if (duration_s <= 0) {
-    fail(ApiError::kBadRequest, "param 'duration_s' must be > 0");
-  }
-  const std::uint64_t seed = static_cast<std::uint64_t>(int_param(
-      params, "seed", static_cast<int>(config_.default_seed)));
+      params.number_or("duration_s", config_.train_duration_s);
+  const auto seed = static_cast<std::uint64_t>(
+      params.number_or("seed", static_cast<double>(config_.default_seed)));
 
-  check_deadline(expires_us, "before training");
+  if (expired(expires_us)) return Reply::timed_out("before training");
   const model::TrainedModels& models = runner::model_cache().get(
-      method, util::seconds(duration_s), seed, config_.inner_jobs);
-  check_deadline(expires_us, "after training");
+      method_of(params), util::seconds(duration_s), seed, config_.inner_jobs);
+  if (expired(expires_us)) return Reply::timed_out("after training");
 
   util::Json result = util::Json::object();
-  result.set("method", str_param(params, "method", "lms"));
+  result.set("method", params.string_or("method", "lms"));
   result.set("observations", static_cast<double>(models.data.size()));
   result.set("cached_trainings",
              static_cast<double>(runner::model_cache().trainings()));
@@ -501,16 +474,14 @@ util::Json Service::op_train(const util::Json& params,
   return result;
 }
 
-util::Json Service::op_sleep(const util::Json& params,
-                             std::int64_t expires_us) {
-  check_param_keys(params, {"ms"});
-  const double total_ms = num_param(params, "ms", 0.0);
-  if (total_ms < 0) fail(ApiError::kBadRequest, "param 'ms' must be >= 0");
+Service::Reply Service::op_sleep(const util::Json& params,
+                                 std::int64_t expires_us) {
+  const double total_ms = params.number_or("ms", 0.0);
   // Sleep in small slices so an expired deadline is noticed promptly —
   // the same cooperative-checkpoint discipline the real handlers use.
   double slept_ms = 0.0;
   while (slept_ms < total_ms) {
-    check_deadline(expires_us, "mid-sleep");
+    if (expired(expires_us)) return Reply::timed_out("mid-sleep");
     const double slice = total_ms - slept_ms < 5.0 ? total_ms - slept_ms : 5.0;
     std::this_thread::sleep_for(
         std::chrono::microseconds(static_cast<std::int64_t>(slice * 1000)));

@@ -1,10 +1,6 @@
 #include "voprof/util/ini.hpp"
 
-#include <algorithm>
 #include <sstream>
-
-#include "voprof/util/assert.hpp"
-#include "voprof/util/numeric.hpp"
 
 namespace voprof::util {
 
@@ -19,47 +15,11 @@ std::string trim(const std::string& s) {
 
 }  // namespace
 
-bool IniSection::has(const std::string& key) const noexcept {
-  return get(key).has_value();
-}
-
-std::optional<std::string> IniSection::get(const std::string& key) const {
-  std::optional<std::string> out;
-  for (const auto& [k, v] : entries) {
-    if (k == key) out = v;
-  }
-  return out;
-}
-
-std::string IniSection::get_or(const std::string& key,
-                               const std::string& fallback) const {
-  return get(key).value_or(fallback);
-}
-
-double IniSection::get_double(const std::string& key, double fallback) const {
-  const auto v = get(key);
-  if (!v.has_value()) return fallback;
-  double out = 0.0;
-  if (!parse_double(*v, out)) {
-    throw ContractViolation("[" + kind + " " + name + "] " + key +
-                            " is not numeric: '" + *v + "'");
-  }
-  return out;
-}
-
-int IniSection::get_int(const std::string& key, int fallback) const {
-  const double v = get_double(key, static_cast<double>(fallback));
-  int i = 0;
-  VOPROF_REQUIRE_MSG(exact_int(v, i),
-                     "[" + kind + "] " + key + " must be an integer");
-  return i;
-}
-
-Result<IniDocument> IniDocument::parse_result(const std::string& text) {
+Result<std::vector<IniSection>> parse_ini(const std::string& text) {
   const auto fail = [](int line_no, const std::string& msg) {
     return Error{Errc::kParse, msg, "line " + std::to_string(line_no)};
   };
-  IniDocument doc;
+  std::vector<IniSection> sections;
   std::istringstream is(text);
   std::string raw;
   int line_no = 0;
@@ -86,14 +46,14 @@ Result<IniDocument> IniDocument::parse_result(const std::string& text) {
         section.kind = header.substr(0, space);
         section.name = trim(header.substr(space + 1));
       }
-      doc.sections_.push_back(std::move(section));
+      sections.push_back(std::move(section));
       continue;
     }
     const auto eq = line.find('=');
     if (eq == std::string::npos) {
       return fail(line_no, "expected 'key = value', got: '" + raw + "'");
     }
-    if (doc.sections_.empty()) {
+    if (sections.empty()) {
       return fail(line_no, "key before any section");
     }
     const std::string key = trim(line.substr(0, eq));
@@ -101,30 +61,9 @@ Result<IniDocument> IniDocument::parse_result(const std::string& text) {
     if (key.empty()) {
       return fail(line_no, "empty key");
     }
-    doc.sections_.back().entries.emplace_back(key, value);
+    sections.back().entries.emplace_back(key, value);
   }
-  return doc;
-}
-
-std::vector<const IniSection*> IniDocument::of_kind(
-    const std::string& kind) const {
-  std::vector<const IniSection*> out;
-  for (const auto& s : sections_) {
-    if (s.kind == kind) out.push_back(&s);
-  }
-  return out;
-}
-
-const IniSection& IniDocument::unique(const std::string& kind) const {
-  const auto all = of_kind(kind);
-  VOPROF_REQUIRE_MSG(all.size() == 1, "expected exactly one [" + kind +
-                                          "] section, found " +
-                                          std::to_string(all.size()));
-  return *all.front();
-}
-
-bool IniDocument::has_kind(const std::string& kind) const noexcept {
-  return !of_kind(kind).empty();
+  return sections;
 }
 
 }  // namespace voprof::util

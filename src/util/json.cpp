@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <unordered_map>
 
 #include "voprof/util/assert.hpp"
 #include "voprof/util/numeric.hpp"
@@ -47,6 +48,34 @@ void write_escaped(std::string& out, const std::string& s) {
     }
   }
   out += '"';
+}
+
+/// Fold the repeated keys of a parsed object the way Json::set does: a
+/// key keeps its first position and takes its last value. Hashed past
+/// a handful of members, so many keys cost no more than their bytes.
+void fold_repeated_keys(Json::Object& members) {
+  const bool hashed = members.size() > 16;
+  std::unordered_map<std::string_view, std::size_t> first;
+  std::vector<bool> repeated;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    std::size_t at =
+        hashed ? first.try_emplace(members[i].first, i).first->second : i;
+    for (std::size_t j = 0; !hashed && j < i && at == i; ++j) {
+      if (members[j].first == members[i].first) at = j;
+    }
+    if (at == i) continue;
+    members[at].second = std::move(members[i].second);
+    repeated.resize(members.size());
+    repeated[i] = true;
+  }
+  if (repeated.empty()) return;
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (repeated[i]) continue;
+    if (kept != i) members[kept] = std::move(members[i]);
+    ++kept;
+  }
+  members.resize(kept);
 }
 
 /// Recursive-descent parser over a string_view with a cursor. Each
@@ -219,26 +248,31 @@ class Parser {
                   pos_);
     }
     ++pos_;  // the opening bracket
-    out = close == ']' ? Json::array() : Json::object();
+    Json::Array items;
+    Json::Object members;
     skip_space();
-    if (!at_end() && text_[pos_] == close) {
-      ++pos_;
-      return true;
-    }
-    for (bool done = false; !done;) {
+    bool done = !at_end() && text_[pos_] == close;
+    if (done) ++pos_;
+    while (!done) {
       Json item;
       if (close == ']') {
         if (!value(item, depth + 1)) return false;
-        out.push_back(std::move(item));
+        items.push_back(std::move(item));
       } else {
         skip_space();
         std::string key;
         if (!string(key)) return false;
         skip_space();
         if (!expect(':') || !value(item, depth + 1)) return false;
-        out.set(std::move(key), std::move(item));
+        members.emplace_back(std::move(key), std::move(item));
       }
       if (!next_or_close(close, done)) return false;
+    }
+    if (close == ']') {
+      out = Json(std::move(items));
+    } else {
+      fold_repeated_keys(members);
+      out = Json(std::move(members));
     }
     return true;
   }
@@ -288,6 +322,16 @@ const Json& Json::at(std::string_view key) const {
   VOPROF_REQUIRE_MSG(v != nullptr,
                      "JSON object has no key \"" + std::string(key) + '"');
   return *v;
+}
+
+double Json::number_or(std::string_view key, double fallback) const {
+  const Json* v = find(key);
+  return v != nullptr ? v->as_number() : fallback;
+}
+
+std::string Json::string_or(std::string_view key, std::string fallback) const {
+  const Json* v = find(key);
+  return v != nullptr ? v->as_string() : std::move(fallback);
 }
 
 void Json::push_back(Json v) {

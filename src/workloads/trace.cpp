@@ -55,16 +55,21 @@ std::string TraceWorkload::label() const {
          (loop_ ? ", looping)" : ")");
 }
 
-std::vector<TracePoint> trace_from_csv(const util::CsvDocument& csv,
-                                       const std::string& prefix,
-                                       double interval_s) {
+util::Result<std::vector<TracePoint>> trace_from_csv(
+    const util::CsvDocument& csv, const std::string& prefix,
+    double interval_s) {
   VOPROF_REQUIRE(interval_s > 0.0);
+  const auto invalid = [](const std::string& what, const std::string& at) {
+    return util::Error{util::Errc::kValidation, what, at};
+  };
   const std::string cpu_col = prefix + "cpu";
   const std::string mem_col = prefix + "mem";
   const std::string io_col = prefix + "io";
   const std::string bw_col = prefix + "bw";
-  VOPROF_REQUIRE_MSG(csv.has_column(cpu_col),
-                     "trace CSV lacks column: " + cpu_col);
+  if (!csv.has_column(cpu_col)) {
+    return invalid("trace CSV lacks column: " + cpu_col, "header");
+  }
+  if (csv.row_count() == 0) return invalid("trace CSV has no rows", "header");
   std::vector<TracePoint> out;
   out.reserve(csv.row_count());
   for (std::size_t i = 0; i < csv.row_count(); ++i) {
@@ -74,9 +79,13 @@ std::vector<TracePoint> trace_from_csv(const util::CsvDocument& csv,
     if (csv.has_column(mem_col)) p.mem_mib = csv.at(i, mem_col);
     if (csv.has_column(io_col)) p.io_blocks_per_s = csv.at(i, io_col);
     if (csv.has_column(bw_col)) p.bw_kbps = csv.at(i, bw_col);
+    if (!(p.cpu_pct >= 0.0 && p.mem_mib >= 0.0 && p.io_blocks_per_s >= 0.0 &&
+          p.bw_kbps >= 0.0)) {
+      return invalid("trace levels must be >= 0",
+                     "row " + std::to_string(i + 1));
+    }
     out.push_back(p);
   }
-  VOPROF_REQUIRE_MSG(!out.empty(), "trace CSV has no rows");
   return out;
 }
 

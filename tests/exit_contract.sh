@@ -4,18 +4,22 @@
 #
 #   sh tests/exit_contract.sh usage BINARY ARG...
 #       A command line the flag table rejects (a missing required flag,
-#       a value outside a flag's choices, a negative --jobs): exit 2,
+#       a value outside a flag's choices or below its bound): exit 2,
 #       nothing on stdout, the error and "usage:" on stderr, before any
 #       work runs.
 #   sh tests/exit_contract.sh RC BINARY ARG...
-#       An input the program cannot read: exit RC, and exactly one line
-#       "voprofctl: <code> error: ... (at ...)" on stderr, never a
-#       "precondition failed" report.
+#       An input the program cannot read: exit RC, nothing on stdout,
+#       and exactly one line "voprofctl: <code> error: ... (at ...)" on
+#       stderr, never a "precondition failed" report.
 #
 # Runs in a fresh directory holding these fixtures, which ARGs may name:
-#   events5.json   a voprof trace whose traceEvents is 5
-#   no_column.csv  an observation CSV without the hyp_cpu column
-#   malformed.json a truncated JSON document
+#   events5.json       a voprof trace whose traceEvents is 5
+#   no_column.csv      an observation CSV without the hyp_cpu column
+#   malformed.json     a truncated JSON document
+#   no_spans.json      a voprof trace without events
+#   typo.conf          a scenario with a misspelt key, [vm web] cpu_pct
+#   no_cpu_trace.conf  a scenario replaying no_cpu_trace.csv, a trace
+#                      CSV without the vm_cpu column
 set -u
 mode=$1 bin=$2
 shift 2
@@ -31,6 +35,10 @@ printf 'n_vms,vm_cpu,vm_mem,vm_io,vm_bw,pm_cpu,pm_mem,pm_io,pm_bw,dom0_cpu\n' \
   >no_column.csv
 printf '1,10,100,5,50,30,800,20,60,17\n' >>no_column.csv
 printf '{"schema":"voprof-bench-1","benchmarks":[' >malformed.json
+printf '{"schema":"voprof-trace-1","traceEvents":[]}\n' >no_spans.json
+printf '[cluster]\n[vm web]\ncpu_pct = 80\n[run]\nduration = 2\n' >typo.conf
+printf 'vm_mem,vm_io\n10,5\n' >no_cpu_trace.csv
+printf '[cluster]\n[vm web]\ntrace = no_cpu_trace.csv\n' >no_cpu_trace.conf
 
 out=$("$bin" "$@" 2>stderr.txt)
 rc=$?
@@ -50,8 +58,8 @@ if [ "$mode" = usage ]; then
   why="want empty stdout and usage on stderr"
   [ -z "$out" ] && grep -q '^usage: ' stderr.txt || fail "$@"
 else
-  why="want one 'voprofctl: <code> error: ... (at ...)' line on stderr"
-  [ "$(wc -l <stderr.txt)" = 1 ] &&
+  why="want empty stdout and one 'voprofctl: <code> error: ...' line"
+  [ -z "$out" ] && [ "$(wc -l <stderr.txt)" = 1 ] &&
     grep -Eq '^voprofctl: [a-z]+ error: .* \(at .+\)$' stderr.txt || fail "$@"
 fi
 exit 0

@@ -8,6 +8,7 @@ namespace voprof::util {
 namespace {
 
 using Kind = FlagSpec::Kind;
+using Bound = FlagSpec::Bound;
 
 /// Flags of a made-up command covering every kind.
 const std::vector<FlagSpec>& test_flags() {
@@ -64,8 +65,8 @@ TEST(Cli, FlagsWithoutCommand) {
 
 TEST(Cli, BooleanSwitches) {
   const CliArgs a = parse({"--verbose", "--n", "3"});
-  EXPECT_TRUE(a.get_bool("verbose"));
-  EXPECT_FALSE(a.get_bool("quiet"));
+  EXPECT_TRUE(a.has("verbose"));
+  EXPECT_FALSE(a.has("quiet"));
   EXPECT_EQ(a.get_int("n", 0), 3);
   // A switch takes no value, so a following word is a stray operand.
   EXPECT_NE(rejection({"--verbose", "yes"}).find("'yes'"), std::string::npos);
@@ -85,8 +86,8 @@ TEST(Cli, MissingRequiredThrows) {
 
 TEST(Cli, RequiredFlagsAndChoices) {
   const std::vector<FlagSpec> flags = {
-      {"out", Kind::kText, true},
-      {"format", Kind::kText, false, {"table", "csv", "json"}}};
+      {"out", Kind::kText, Bound::kNone, true},
+      {"format", Kind::kText, Bound::kNone, false, {"table", "csv", "json"}}};
   const auto message = [&flags](const std::vector<std::string>& tokens) {
     const Result<CliArgs> r = CliArgs::parse(tokens, flags);
     EXPECT_FALSE(r.ok());
@@ -151,6 +152,101 @@ TEST(Cli, FlagNamesEnumerated) {
   const Result<CliArgs> none = CliArgs::parse({"--nope"}, {});
   ASSERT_FALSE(none.ok());
   EXPECT_NE(none.error().message.find("(valid: none)"), std::string::npos);
+}
+
+TEST(Cli, BoundsAreCheckedWhenParsing) {
+  const std::vector<FlagSpec> flags = {
+      {"vms", Kind::kInteger, Bound::kPositive},
+      {"seed", Kind::kInteger, Bound::kNonNegative},
+      {"duration", Kind::kNumber, Bound::kPositive},
+      {"offset", Kind::kNumber}};
+  const auto message = [&flags](const std::vector<std::string>& tokens) {
+    const Result<CliArgs> r = CliArgs::parse(tokens, flags);
+    EXPECT_FALSE(r.ok());
+    return r.ok() ? std::string() : r.error().message;
+  };
+  EXPECT_EQ(message({"--vms", "0"}), "flag --vms must be > 0, got 0");
+  EXPECT_EQ(message({"--seed", "-1"}), "flag --seed must be >= 0, got -1");
+  EXPECT_EQ(message({"--duration", "-0.5"}),
+            "flag --duration must be > 0, got -0.5");
+  const Result<CliArgs> ok = CliArgs::parse(
+      {"--vms", "1", "--seed", "0", "--duration", "0.5", "--offset", "-3"},
+      flags);
+  ASSERT_TRUE(ok.ok()) << ok.error().to_string();
+  EXPECT_EQ(ok.value().get_int("seed", 7), 0);
+  EXPECT_DOUBLE_EQ(ok.value().get_double("offset", 0.0), -3.0);
+}
+
+TEST(Cli, CheckRunsTheSameTableOverKeyValueEntries) {
+  const std::vector<FlagSpec> keys = {
+      {"machine", Kind::kInteger, Bound::kNonNegative},
+      {"cpu", Kind::kNumber, Bound::kNonNegative},
+      {"scheduler", Kind::kText, Bound::kNone, false, {"macro", "micro"}},
+      {"name", Kind::kText, Bound::kNone, true}};
+  const Result<CliArgs> ok = CliArgs::check(
+      {{"name", "a"}, {"cpu", "40"}, {"cpu", "55.5"}, {"machine", "1"}}, keys);
+  ASSERT_TRUE(ok.ok()) << ok.error().to_string();
+  EXPECT_DOUBLE_EQ(ok.value().get_double("cpu", 0.0), 55.5);  // last wins
+  EXPECT_EQ(ok.value().get_int("machine", 0), 1);
+  EXPECT_EQ(ok.value().get_or("scheduler", "macro"), "macro");
+  const auto message =
+      [&keys](const std::vector<std::pair<std::string, std::string>>& e) {
+        const Result<CliArgs> r = CliArgs::check(e, keys);
+        EXPECT_FALSE(r.ok());
+        return r.ok() ? std::string() : r.error().message;
+      };
+  EXPECT_EQ(message({{"name", "a"}, {"cpu_pct", "80"}}),
+            "unknown key 'cpu_pct' (valid: 'machine', 'cpu', 'scheduler', "
+            "'name')");
+  EXPECT_EQ(message({{"name", "a"}, {"cpu", "lots"}}),
+            "key 'cpu' is not a number: 'lots'");
+  EXPECT_EQ(message({{"name", "a"}, {"machine", "-1"}}),
+            "key 'machine' must be >= 0, got -1");
+  EXPECT_EQ(message({{"name", "a"}, {"scheduler", "quantum"}}),
+            "key 'scheduler' does not accept 'quantum'");
+  EXPECT_EQ(message({}), "missing required key 'name'");
+}
+
+TEST(Cli, CheckParamsTypesValuesByTheirJsonType) {
+  const std::vector<FlagSpec> keys = {
+      {"method", Kind::kText, Bound::kNone, false, {"lms", "ols"}},
+      {"cpu", Kind::kNumber, Bound::kNonNegative},
+      {"vms", Kind::kInteger, Bound::kPositive},
+      {"scenario", Kind::kText, Bound::kNone, true},
+      {"verbose", Kind::kSwitch}};
+  const auto message = [&keys](const char* text) {
+    const Result<bool> r = check_params(Json::parse(text), keys);
+    EXPECT_FALSE(r.ok()) << text;
+    if (r.ok()) return std::string();
+    EXPECT_EQ(r.error().code, Errc::kValidation);
+    return r.error().message;
+  };
+  const Json ok = Json::parse(
+      R"({"scenario":"[cluster]","cpu":40.5,"vms":2,"verbose":true})");
+  EXPECT_TRUE(check_params(ok, keys).ok());
+  EXPECT_DOUBLE_EQ(ok.number_or("cpu", 0.0), 40.5);
+  EXPECT_DOUBLE_EQ(ok.number_or("mem", 7.0), 7.0);
+  EXPECT_EQ(ok.string_or("method", "lms"), "lms");
+  EXPECT_EQ(message(R"({"scenario":"s","vcpus":4})"),
+            "unknown param 'vcpus' (valid: 'method', 'cpu', 'vms', "
+            "'scenario', 'verbose')");
+  // A number in a string is not a number: no round trip through text.
+  EXPECT_EQ(message(R"({"scenario":"s","cpu":"40"})"),
+            "param 'cpu' must be a number");
+  EXPECT_EQ(message(R"({"scenario":"s","vms":2.5})"),
+            "param 'vms' must be an integer");
+  EXPECT_EQ(message(R"({"scenario":"s","vms":1e20})"),
+            "param 'vms' must be an integer");
+  EXPECT_EQ(message(R"({"scenario":"s","vms":0})"),
+            "param 'vms' must be > 0, got 0");
+  EXPECT_EQ(message(R"({"scenario":"s","cpu":-1})"),
+            "param 'cpu' must be >= 0, got -1");
+  EXPECT_EQ(message(R"({"scenario":"s","method":"foo"})"),
+            "param 'method' does not accept 'foo'");
+  EXPECT_EQ(message(R"({"scenario":7})"), "param 'scenario' must be a string");
+  EXPECT_EQ(message(R"({"scenario":"s","verbose":1})"),
+            "param 'verbose' must be a boolean");
+  EXPECT_EQ(message(R"({})"), "missing required param 'scenario'");
 }
 
 }  // namespace

@@ -101,7 +101,7 @@ TEST(Pipeline, MonitorCsvTraceReplayRoundTrip) {
                    s.bw[i].value});
     }
   }
-  const auto trace = wl::trace_from_csv(csv);
+  const auto trace = wl::trace_from_csv(csv).value();
   sim::Engine engine;
   sim::Cluster cluster(engine, sim::CostModel{}, 92);
   sim::PhysicalMachine& pm = cluster.add_machine(sim::MachineSpec{});

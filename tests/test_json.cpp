@@ -131,6 +131,23 @@ TEST(Json, TypeMismatchedAccessThrows) {
   EXPECT_DOUBLE_EQ(obj.find("a")->as_number(), 1.0);
 }
 
+TEST(Json, RepeatedKeysKeepFirstPositionAndLastValue) {
+  // The parser folds repeats the way set() does, at any object size.
+  EXPECT_EQ(Json::parse(R"({"a":1,"b":2,"a":3})").dump(0), R"({"a":3,"b":2})");
+  std::string wide = "{";
+  Json expected = Json::object();
+  for (int i = 0; i < 100; ++i) {
+    const std::string key = "k" + std::to_string(i % 40);
+    wide += (i > 0 ? ",\"" : "\"") + key + "\":" + std::to_string(i);
+    expected.set(key, i);
+  }
+  wide += "}";
+  const Json parsed = Json::parse(wide);
+  EXPECT_EQ(parsed.as_object().size(), 40u);
+  EXPECT_EQ(parsed.dump(0), expected.dump(0));
+  EXPECT_DOUBLE_EQ(parsed.at("k0").as_number(), 80.0);
+}
+
 TEST(Json, PrettyPrintIsStable) {
   Json obj = Json::object();
   obj.set("a", 1);

@@ -180,6 +180,24 @@ TEST(Rules, SteadyClockFlaggedOutsideBenchObsTests) {
             0U);
 }
 
+TEST(Rules, RequireFlaggedInToolsAndServeOnly) {
+  const std::string body =
+      "VOPROF_REQUIRE(ok);\nVOPROF_REQUIRE_MSG(ok, \"m\");\n"
+      "MY_VOPROF_REQUIRE(ok);\n// VOPROF_REQUIRE(ok);\n";
+  EXPECT_EQ(count_rule(lint_file_content("tools/voprofctl.cpp", body),
+                       "require-in-frontend"),
+            2U);
+  EXPECT_EQ(count_rule(lint_file_content("src/serve/service.cpp", body),
+                       "require-in-frontend"),
+            2U);
+  EXPECT_EQ(count_rule(lint_file_content("src/core/x.cpp", body),
+                       "require-in-frontend"),
+            0U);
+  EXPECT_EQ(count_rule(lint_file_content("bench/harness.cpp", body),
+                       "require-in-frontend"),
+            0U);
+}
+
 TEST(Rules, MemberRandNotFlagged) {
   const auto findings = lint_file_content(
       "src/util/x.cpp", "int r = rng.rand();\nint q = gen->rand();\n");
@@ -228,6 +246,7 @@ TEST(Fixtures, TreeFailsWithEveryExpectedRule) {
   EXPECT_EQ(count_rule(report.findings, "raw-rand"), 2U);
   EXPECT_EQ(count_rule(report.findings, "raw-thread"), 1U);
   EXPECT_EQ(count_rule(report.findings, "raw-steady-clock"), 1U);
+  EXPECT_EQ(count_rule(report.findings, "require-in-frontend"), 2U);
   for (const Finding& f : report.findings) {
     EXPECT_EQ(f.file.find("good_"), std::string::npos) << f.format();
     EXPECT_EQ(f.file.find("clean_"), std::string::npos) << f.format();

@@ -103,7 +103,7 @@ TEST(ReportCsv, RoundTripsIntoTraceReplay) {
     mon::MonitorScript mon(engine, pm);
     csv = mon::report_to_csv(mon.measure(seconds(10.0)));
   }
-  const auto trace = wl::trace_from_csv(csv, "vm1_");
+  const auto trace = wl::trace_from_csv(csv, "vm1_").value();
   ASSERT_EQ(trace.size(), 10u);
   EXPECT_NEAR(trace[3].cpu_pct, 65.0, 3.0);
 }

@@ -11,7 +11,6 @@
 #include "voprof/core/serialize.hpp"
 #include "voprof/scenario/scenario.hpp"
 #include "voprof/util/csv.hpp"
-#include "voprof/util/ini.hpp"
 
 namespace voprof::util {
 namespace {
@@ -77,10 +76,6 @@ TEST(LoaderResults, MissingFilesAreIoErrorsNotThrows) {
   const auto csv = CsvDocument::load_result("/nonexistent/x.csv");
   ASSERT_FALSE(csv.ok());
   EXPECT_EQ(csv.error().code, Errc::kIo);
-
-  const auto ini = IniDocument::load_result("/nonexistent/x.ini");
-  ASSERT_FALSE(ini.ok());
-  EXPECT_EQ(ini.error().code, Errc::kIo);
 
   const auto scn = scenario::ScenarioSpec::load_result("/nonexistent/x.scn");
   ASSERT_FALSE(scn.ok());

@@ -268,7 +268,7 @@ TEST(Service, HugeDeadlineIsClampedToTheMaximum) {
 TEST(Service, OutOfRangeIntegerParamsAreBadRequests) {
   // Checked before any cast (and before any training or simulation).
   Service service(test_config());
-  for (const char* v : {"1e20", "2147483648", "-1e20", "2.5"}) {
+  for (const char* v : {"1e20", "2147483648", "-1e20", "2.5", "-1"}) {
     const std::string value(v);
     for (const std::string& line :
          {R"({"op":"predict","params":{"seed":)" + value + "}}",
@@ -280,6 +280,49 @@ TEST(Service, OutOfRangeIntegerParamsAreBadRequests) {
     }
   }
   EXPECT_EQ(service.stats().completed, 0u);
+}
+
+TEST(Service, ScenarioTyposAreBadRequests) {
+  // The scenario of a simulate request passes the same key tables as a
+  // scenario file: unknown keys and sections are not silently dropped.
+  Service service(test_config());
+  for (const char* scenario :
+       {"[cluster]\n[vm web]\ncpu_pct = 80\n",
+        "[cluster]\n[vm web]\ncpu = 80\n[run]\nduraton = 2\n",
+        "[cluster]\n[vm web]\n[monitr]\nmachine = 0\n",
+        "[cluster]\n[cluster]\n[vm web]\n"}) {
+    util::Json params = util::Json::object();
+    params.set("scenario", scenario);
+    util::Json req = util::Json::object();
+    req.set("op", "simulate");
+    req.set("params", std::move(params));
+    const util::Json response = json_of(service.handle_line(req.dump(0)));
+    ASSERT_FALSE(response.at("ok").as_bool()) << scenario;
+    EXPECT_EQ(response.at("error").at("code").as_string(), "bad_request");
+    EXPECT_NE(response.at("error").at("message").as_string().find(
+                  "validation error"),
+              std::string::npos);
+  }
+  EXPECT_EQ(service.stats().completed, 0u);
+}
+
+TEST(Service, ServedScenarioOpensNoFile) {
+  // A request must not make the daemon read a file it names: a served
+  // scenario's `trace` is rejected before any open, so not a byte of
+  // the file reaches the response.
+  const std::string path = ::testing::TempDir() + "/voprof_serve_secret.csv";
+  std::ofstream(path) << "vm_cpu\nsecret-marker-7f3a:x:1:1\n";
+  Service service(test_config());
+  util::Json params = util::Json::object();
+  params.set("scenario", "[cluster]\n[vm a]\ntrace = " + path + "\n");
+  util::Json req = util::Json::object();
+  req.set("op", "simulate");
+  req.set("params", std::move(params));
+  const std::string response = service.handle_line(req.dump(0));
+  EXPECT_EQ(error_code_of(response), "bad_request");
+  EXPECT_EQ(response.find("secret-marker-7f3a"), std::string::npos)
+      << response;
+  EXPECT_NE(response.find("trace"), std::string::npos) << response;
 }
 
 TEST(Service, SleepOpIsGatedBehindTestOps) {

@@ -86,7 +86,7 @@ TEST(TraceFromCsv, ParsesMonitorDump) {
   util::CsvDocument csv({"t_s", "vm_cpu", "vm_mem", "vm_io", "vm_bw"});
   csv.add_row({1.0, 25.0, 90.0, 10.0, 100.0});
   csv.add_row({2.0, 35.0, 95.0, 12.0, 200.0});
-  const auto trace = trace_from_csv(csv);
+  const auto trace = trace_from_csv(csv).value();
   ASSERT_EQ(trace.size(), 2u);
   EXPECT_DOUBLE_EQ(trace[0].cpu_pct, 25.0);
   EXPECT_DOUBLE_EQ(trace[1].bw_kbps, 200.0);
@@ -96,22 +96,35 @@ TEST(TraceFromCsv, ParsesMonitorDump) {
 TEST(TraceFromCsv, OptionalColumnsDefaultToZero) {
   util::CsvDocument csv({"vm_cpu"});
   csv.add_row({42.0});
-  const auto trace = trace_from_csv(csv);
+  const auto trace = trace_from_csv(csv).value();
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_DOUBLE_EQ(trace[0].cpu_pct, 42.0);
   EXPECT_DOUBLE_EQ(trace[0].io_blocks_per_s, 0.0);
 }
 
 TEST(TraceFromCsv, MissingCpuColumnRejected) {
+  // Input errors are Results: the CSV comes from a scenario file.
   util::CsvDocument csv({"other"});
   csv.add_row({1.0});
-  EXPECT_THROW((void)trace_from_csv(csv), util::ContractViolation);
+  const auto no_column = trace_from_csv(csv);
+  ASSERT_FALSE(no_column.ok());
+  EXPECT_EQ(no_column.error().code, util::Errc::kValidation);
+  EXPECT_NE(no_column.error().message.find("vm_cpu"), std::string::npos);
+  const auto no_rows = trace_from_csv(util::CsvDocument({"vm_cpu"}));
+  ASSERT_FALSE(no_rows.ok());
+  EXPECT_NE(no_rows.error().message.find("no rows"), std::string::npos);
+  util::CsvDocument negative({"vm_cpu", "vm_mem"});
+  negative.add_row({10.0, 5.0});
+  negative.add_row({10.0, -5.0});
+  const auto neg = trace_from_csv(negative);
+  ASSERT_FALSE(neg.ok());
+  EXPECT_EQ(neg.error().context, "row 2");
 }
 
 TEST(TraceFromCsv, CustomPrefixAndInterval) {
   util::CsvDocument csv({"xcpu", "xbw"});
   csv.add_row({10.0, 50.0});
-  const auto trace = trace_from_csv(csv, "x", 5.0);
+  const auto trace = trace_from_csv(csv, "x", 5.0).value();
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_DOUBLE_EQ(trace[0].duration_s, 5.0);
   EXPECT_DOUBLE_EQ(trace[0].bw_kbps, 50.0);

@@ -1,5 +1,7 @@
 #include "ctl_flags.hpp"
 
+#include "voprof/runner/runner.hpp"
+
 namespace voprof::tools {
 
 namespace {
@@ -8,13 +10,24 @@ constexpr auto kText = util::FlagSpec::Kind::kText;
 constexpr auto kNumber = util::FlagSpec::Kind::kNumber;
 constexpr auto kInteger = util::FlagSpec::Kind::kInteger;
 constexpr auto kSwitch = util::FlagSpec::Kind::kSwitch;
+constexpr auto kNone = util::FlagSpec::Bound::kNone;
+constexpr auto kNonNegative = util::FlagSpec::Bound::kNonNegative;
+constexpr auto kPositive = util::FlagSpec::Bound::kPositive;
 
 /// A text flag every command line must carry.
-util::FlagSpec required(const char* name) { return {name, kText, true}; }
+util::FlagSpec required(const char* name) {
+  return {name, kText, kNone, true};
+}
 
 /// Text flags whose value is one of these choices.
-const util::FlagSpec kMethod{"method", kText, false, {"lms", "ols"}};
-const util::FlagSpec kFormat{"format", kText, false, {"table", "csv", "json"}};
+const util::FlagSpec kMethod{"method", kText, kNone, false, {"lms", "ols"}};
+const util::FlagSpec kFormat{"format", kText, kNone, false,
+                             {"table", "csv", "json"}};
+/// Numeric flags every command that has them bounds the same way.
+const util::FlagSpec kJobs = runner::jobs_flag();
+const util::FlagSpec kSeed{"seed", kInteger, kNonNegative};
+const util::FlagSpec kDuration{"duration", kNumber, kPositive};
+const util::FlagSpec kVms{"vms", kInteger, kPositive};
 
 }  // namespace
 
@@ -25,14 +38,12 @@ const util::FlagSpec kFormat{"format", kText, false, {"table", "csv", "json"}};
 const std::vector<CommandEntry>& command_table() {
   static const std::vector<CommandEntry> table = {
       {"train",
-       {required("out"), kMethod, {"duration", kNumber},
-        {"seed", kInteger}, {"jobs", kInteger}, {"trace-out"}},
+       {required("out"), kMethod, kDuration, kSeed, kJobs, {"trace-out"}},
        "  train         run the micro-benchmark sweep and fit the models\n"
        "                  --out FILE [--method lms|ols] [--duration SEC]\n"
        "                  [--seed N] [--jobs N] [--trace-out FILE]\n"},
       {"export-trace",
-       {required("out"), {"duration", kNumber}, {"seed", kInteger},
-        {"jobs", kInteger}, {"trace-out"}},
+       {required("out"), kDuration, kSeed, kJobs, {"trace-out"}},
        "  export-trace  dump sweep observations as CSV\n"
        "                  --out FILE [--duration SEC] [--seed N] [--jobs N]\n"
        "                  [--trace-out FILE]\n"},
@@ -42,47 +53,48 @@ const std::vector<CommandEntry>& command_table() {
        "                  --observations FILE --out FILE [--method lms|ols]\n"
        "                  [--trace-out FILE]\n"},
       {"predict",
-       {required("models"), {"cpu", kNumber}, {"mem", kNumber},
-        {"io", kNumber}, {"bw", kNumber}, {"vms", kInteger}, kFormat,
-        {"trace-out"}},
+       {required("models"), {"cpu", kNumber, kNonNegative},
+        {"mem", kNumber, kNonNegative}, {"io", kNumber, kNonNegative},
+        {"bw", kNumber, kNonNegative}, kVms, kFormat, {"trace-out"}},
        "  predict       predict PM utilization from summed VM metrics\n"
        "                  --models FILE [--cpu PCT] [--mem MIB] [--io BLKS]\n"
        "                  [--bw KBPS] [--vms N] [--format table|csv|json]\n"
        "                  [--trace-out FILE]\n"},
       {"profile",
-       {{"kind", kText, true, {"cpu", "mem", "io", "bw"}},
-        {"value", kNumber}, {"vms", kInteger}, {"duration", kNumber},
-        {"seed", kInteger}, kFormat, {"trace-out"}},
+       {{"kind", kText, kNone, true, {"cpu", "mem", "io", "bw"}},
+        {"value", kNumber, kNonNegative}, kVms, kDuration, kSeed, kFormat,
+        {"trace-out"}},
        "  profile       measure one workload cell\n"
        "                  --kind cpu|mem|io|bw [--value V] [--vms N]\n"
        "                  [--duration SEC] [--seed N]\n"
        "                  [--format table|csv|json] [--trace-out FILE]\n"},
       {"rubis",
-       {required("models"), {"clients", kInteger}, {"duration", kNumber},
+       {required("models"), {"clients", kInteger, kNonNegative}, kDuration,
         {"trace-out"}},
        "  rubis         RUBiS prediction-accuracy run\n"
        "                  --models FILE [--clients N] [--duration SEC]\n"
        "                  [--trace-out FILE]\n"},
       {"inspect",
        {required("observations"), kMethod,
-        {"resamples", kInteger}, {"trace-out"}},
+        {"resamples", kInteger, kPositive}, {"trace-out"}},
        "  inspect       bootstrap confidence intervals for the model\n"
        "                  coefficients fitted from an observation CSV\n"
        "                  --observations FILE [--method lms|ols]\n"
        "                  [--resamples N] [--trace-out FILE]\n"},
       {"simulate",
-       {required("scenario"), {"replications", kInteger}, {"jobs", kInteger},
-        {"seed", kInteger}, kFormat, {"series-out"}, {"trace-out"}},
+       {required("scenario"), {"replications", kInteger, kPositive}, kJobs,
+        kSeed, kFormat, {"series-out"}, {"trace-out"}},
        "  simulate      run a declarative scenario (INI) and print the\n"
        "                  measured utilizations\n"
        "                  --scenario FILE [--series-out OUT.csv]\n"
        "                  [--replications N] [--jobs N] [--seed N]\n"
        "                  [--format table|csv|json] [--trace-out FILE]\n"},
       {"serve",
-       {required("socket"), {"jobs", kInteger}, {"queue-capacity", kInteger},
-        {"default-deadline-ms", kInteger}, {"max-deadline-ms", kInteger},
-        {"train-duration", kNumber}, {"seed", kInteger},
-        {"inner-jobs", kInteger}, {"enable-test-ops", kSwitch},
+       {required("socket"), kJobs, {"queue-capacity", kInteger, kPositive},
+        {"default-deadline-ms", kInteger, kPositive},
+        {"max-deadline-ms", kInteger, kPositive},
+        {"train-duration", kNumber, kPositive}, kSeed,
+        {"inner-jobs", kInteger, kNonNegative}, {"enable-test-ops", kSwitch},
         {"metrics-out"}, {"trace-out"}},
        "  serve         run the voprofd daemon (see `voprofd --help`)\n"
        "                  --socket PATH [--jobs N] [--queue-capacity N]\n"
@@ -92,20 +104,21 @@ const std::vector<CommandEntry>& command_table() {
        "                  [--enable-test-ops]\n"},
       {"request",
        {required("socket"), required("op"), {"params"}, {"id"},
-        {"deadline-ms", kInteger}, {"timeout-ms", kInteger}},
+        {"deadline-ms", kInteger, kNonNegative},
+        {"timeout-ms", kInteger, kPositive}},
        "  request       send one voprof-api-1 request to a daemon\n"
        "                  --socket PATH --op OP [--params JSON] [--id ID]\n"
        "                  [--deadline-ms MS] [--timeout-ms MS]\n"},
       {"bench-diff",
-       {required("baseline"), required("current"), {"threshold", kNumber},
-        {"report-improvement", kSwitch}},
+       {required("baseline"), required("current"),
+        {"threshold", kNumber, kPositive}, {"report-improvement", kSwitch}},
        "  bench-diff    compare two BENCH_*.json perf records\n"
        "                  --baseline FILE --current FILE\n"
        "                  [--threshold FRAC] [--report-improvement]\n"
        "                  exit 0 = ok, 1 = regression, 2 = bad input,\n"
        "                  4 = improvement (with --report-improvement)\n"},
       {"trace",
-       {{"limit", kInteger}, {"out"}},
+       {{"limit", kInteger, kNonNegative}, {"out"}},
        "  trace         digest an exported observability trace\n"
        "                  trace summary FILE   per-category time table\n"
        "                  trace top FILE [--limit N]\n"

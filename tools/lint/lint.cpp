@@ -113,6 +113,12 @@ const std::regex& steady_clock_re() {
   return re;
 }
 
+const std::regex& require_re() {
+  // VOPROF_REQUIRE and VOPROF_REQUIRE_MSG.
+  static const std::regex re(R"((^|[^A-Za-z0-9_])VOPROF_REQUIRE(_MSG)?\s*\()");
+  return re;
+}
+
 const std::regex& rand_re() {
   // Rejects member/qualified calls (`.rand(`, `->rand(`, `::rand(` is
   // still the C function — catch it) and identifiers merely containing
@@ -304,6 +310,14 @@ std::vector<Finding> lint_file_content(const std::string& relpath,
                "model/engine code computes in double precision only", &out);
     scan_lines(lines, cout_re(), relpath, "cout-in-library",
                "library code must not write to std::cout", &out);
+  }
+  // Code that takes outside input reports every failure as a Result.
+  if (starts_with(relpath, "tools/") || starts_with(relpath, "src/serve/")) {
+    scan_lines(lines, require_re(), relpath, "require-in-frontend",
+               "tools/ and src/serve/ handle outside input: report a "
+               "failure as a util::Result (voprof/util/result.hpp), not "
+               "VOPROF_REQUIRE",
+               &out);
   }
   if (is_header(relpath)) {
     check_header_guard(lines, relpath, &out);

@@ -26,6 +26,10 @@
 ///                    tests — interval timing goes through voprof::obs
 ///                    (wall_clock_us / VOPROF_WALL_SPAN) so an enabled
 ///                    trace observes it
+///   require-in-frontend
+///                    no VOPROF_REQUIRE in tools/ and src/serve/ — code
+///                    that takes outside input reports every failure
+///                    as a util::Result, never as a precondition
 ///
 /// Comments and string literals are masked out before matching, so a
 /// `// rand()` comment or an "assert(" inside a string never fires.

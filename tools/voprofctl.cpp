@@ -22,7 +22,6 @@
 #include "voprof/monitor/script.hpp"
 #include "voprof/obs/trace.hpp"
 #include "voprof/rubis/deployment.hpp"
-#include "voprof/util/assert.hpp"
 #include "voprof/util/cli.hpp"
 #include "voprof/util/numeric.hpp"
 #include "voprof/util/table.hpp"
@@ -51,7 +50,7 @@ wl::WorkloadKind kind_of(const util::CliArgs& args) {
   return wl::WorkloadKind::kCpu;
 }
 
-/// Print a loader failure the uniform way and signal exit 1.
+/// Print an input or output failure the uniform way and signal exit 1.
 int loader_error(const util::Error& err) {
   std::cerr << "voprofctl: " << err.to_string() << '\n';
   return 1;
@@ -354,7 +353,10 @@ int cmd_trace(const tools::CommandLine& cl, const util::CliArgs& args) {
     std::cout << tools::format_trace_top(summary, args.get_int("limit", 10));
   } else if (args.has("out")) {
     std::ofstream out(args.get("out"));
-    VOPROF_REQUIRE_MSG(out.good(), "cannot write " + args.get("out"));
+    if (!out.good()) {
+      return loader_error(util::Error{
+          util::Errc::kIo, "cannot open file for writing", args.get("out")});
+    }
     out << tools::trace_spans_csv(summary);
     std::cout << "wrote " << summary.spans.size() << " span rows to "
               << args.get("out") << '\n';
@@ -434,7 +436,7 @@ int cmd_bench_diff(const util::CliArgs& args) {
   }
   std::cout << tools::format_bench_diff(report.value(), threshold);
   return tools::bench_diff_exit_code(report.value(),
-                                     args.get_bool("report-improvement"));
+                                     args.has("report-improvement"));
 }
 
 int dispatch(const tools::CommandLine& cl, const std::string& cmd,
@@ -474,9 +476,6 @@ int main(int argc, char** argv) {
         cl.parse_or_exit({words.begin() + (entry != nullptr ? 1 : 0),
                           words.end()});
     if (entry == nullptr) cl.fail("missing command");
-    // Every command's --jobs gets the runner's own bound.
-    const util::Result<runner::RunOptions> run = runner::options_from_cli(args);
-    if (!run.ok()) cl.fail(run.error().message);
 
     const int rc = dispatch(cl, entry->name, args);
 
