@@ -50,7 +50,11 @@ int main(int argc, char** argv) {
   if (out_path.empty()) {
     std::cout << csv.str();
   } else {
-    csv.save(out_path);
+    if (const util::Result<bool> saved = csv.save(out_path); !saved.ok()) {
+      std::cerr << "bench_sweep_runner: " << saved.error().to_string()
+                << '\n';
+      return 1;
+    }
     std::cout << "wrote " << csv.row_count() << " rows to " << out_path
               << '\n';
   }

@@ -53,7 +53,10 @@ int main(int argc, char** argv) {
                  dom0_s.cpu[i].value, hyp_s.cpu[i].value, pm_s.cpu[i].value,
                  pm_s.io[i].value, pm_s.bw[i].value});
   }
-  csv.save(csv_path);
+  if (const util::Result<bool> saved = csv.save(csv_path); !saved.ok()) {
+    std::cerr << saved.error().to_string() << '\n';
+    return 1;
+  }
   std::cout << "Wrote " << report.sample_count()
             << " synchronized 1 s samples to " << csv_path << "\n\n";
 

@@ -37,6 +37,11 @@ struct FitDiagnostics {
   double residual_rms = 0.0;
 };
 
+/// Fewest resamples, and fewest single-VM rows, bootstrap_single_vm
+/// accepts.
+inline constexpr int kMinResamples = 10;
+inline constexpr std::size_t kMinBootstrapRows = 2 * (kMetricCount + 1);
+
 struct BootstrapConfig {
   int resamples = 200;
   RegressionMethod method = RegressionMethod::kOls;

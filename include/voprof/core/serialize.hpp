@@ -7,7 +7,6 @@
 /// testbed can be reused by tools without re-running the sweep, and
 /// real traces can be imported for trace-driven fitting.
 
-#include <iosfwd>
 #include <string>
 
 #include "voprof/core/hetero_model.hpp"
@@ -30,7 +29,6 @@ namespace voprof::model {
 
 /// Serialize fitted models (coefficients + fit quality). Format:
 /// versioned line-oriented text, stable across toolchains.
-void save_models(const TrainedModels& models, std::ostream& os);
 [[nodiscard]] std::string models_to_string(const TrainedModels& models);
 
 /// Primary, non-throwing deserialization. Errors carry Errc::kParse
@@ -42,11 +40,11 @@ void save_models(const TrainedModels& models, std::ostream& os);
 [[nodiscard]] util::Result<TrainedModels> load_models_file_result(
     const std::string& path);
 
-/// File-path convenience.
-void save_models_file(const TrainedModels& models, const std::string& path);
+/// File-path convenience; Errc::kIo when `path` cannot be written.
+[[nodiscard]] util::Result<bool> save_models_file(const TrainedModels& models,
+                                                  const std::string& path);
 
 // --- Heterogeneous (typed) model -------------------------------------
-void save_hetero_model(const HeteroModel& model, std::ostream& os);
 [[nodiscard]] std::string hetero_model_to_string(const HeteroModel& model);
 /// Same error vocabulary as models_from_string_result.
 [[nodiscard]] util::Result<HeteroModel> hetero_model_from_string_result(

@@ -5,7 +5,6 @@
 /// same traces for offline plotting) and to reload them for trace-driven
 /// model fitting.
 
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -40,9 +39,9 @@ class CsvDocument {
   [[nodiscard]] std::vector<double> column_values(const std::string& name) const;
 
   /// Serialize to CSV text.
-  void write(std::ostream& os) const;
   [[nodiscard]] std::string str() const;
-  void save(const std::string& path) const;
+  /// Write to `path`; Errc::kIo when it cannot be written.
+  [[nodiscard]] Result<bool> save(const std::string& path) const;
 
   /// Primary, non-throwing parse (numeric cells only). Errors carry
   /// Errc::kParse with a "row N" context, or Errc::kIo for unreadable

@@ -98,6 +98,16 @@ class [[nodiscard]] Result {
 /// context, when it cannot be opened.
 [[nodiscard]] Result<std::string> read_file_result(const std::string& path);
 
+/// Replace the file at `path` with `text`; Errc::kIo, with the path as
+/// the context, when it cannot be written.
+[[nodiscard]] Result<bool> write_file_result(const std::string& path,
+                                             const std::string& text);
+
+/// Errc::kIo, with the path as the context, when `path` cannot be
+/// opened for writing. An existing file keeps its contents, and no new
+/// file is left behind.
+[[nodiscard]] Result<bool> check_writable(const std::string& path);
+
 /// The one file loader: read `path` and hand its text to `parse`, whose
 /// error gets the path prefixed to its context ("scenario.conf:12").
 template <typename Parse>

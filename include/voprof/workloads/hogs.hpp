@@ -14,6 +14,9 @@
 
 namespace voprof::wl {
 
+/// Highest CpuHog target: all of one VCPU, in percent.
+inline constexpr double kMaxCpuPct = 100.0;
+
 /// CPU-intensive workload: spins at a target utilization (lookbusy -c).
 class CpuHog final : public sim::GuestProcess {
  public:

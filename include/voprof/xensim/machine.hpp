@@ -41,6 +41,8 @@ class PhysicalMachine {
  public:
   PhysicalMachine(int id, MachineSpec spec, CostModel costs, util::Rng rng);
 
+  /// Ends any open episode (see Episode) with the last tick.
+  ~PhysicalMachine();
   PhysicalMachine(const PhysicalMachine&) = delete;
   PhysicalMachine& operator=(const PhysicalMachine&) = delete;
 
@@ -123,6 +125,21 @@ class PhysicalMachine {
     int tag = 0;
   };
 
+  /// Consecutive ticks of scheduler contention, disk or NIC
+  /// throttling, traced as one sim-clock span when they end.
+  struct Episode {
+    const char* cat = nullptr;
+    const char* name = nullptr;
+    util::SimMicros begin = 0;  ///< start of the episode's first tick
+    util::SimMicros end = 0;    ///< end of its latest tick
+    double amount = 0.0;        ///< per-tick amounts, summed
+    long long ticks = 0;        ///< 0 when no episode is open
+  };
+  /// Extend `e` by the tick ending at `now` when `active`, else close it.
+  void track(Episode& e, bool active, double amount, util::SimMicros now,
+             double dt);
+  void close(Episode& e);  ///< trace and reset `e`, if open
+
   /// Saturating control-plane response over all guests (Dom0 variant).
   [[nodiscard]] double dom0_ctrl_response() const noexcept;
   /// Saturating scheduling response over all guests (hypervisor).
@@ -147,10 +164,9 @@ class PhysicalMachine {
   double throttled_disk_blocks_ = 0.0;
   double throttled_nic_kbits_ = 0.0;
   util::SimMicros last_now_ = 0;
-  // Sim time when the current CPU-contention episode began, or -1 when
-  // the scheduler is currently satisfying everyone. Drives the
-  // "scheduler/contention" sim-clock spans in the obs trace.
-  util::SimMicros contention_begin_ = -1;
+  Episode contention_{"scheduler", "contention"};
+  Episode disk_throttle_{"device", "disk-throttled"};
+  Episode nic_throttle_{"device", "nic-throttled"};
 
   // Per-tick scratch buffers, reused across ticks so the steady-state
   // tick makes no allocations. demands_ holds pointers into each

@@ -39,10 +39,10 @@ const std::array<Target, 6> kTargets = {{
 
 std::vector<FitDiagnostics> bootstrap_single_vm(
     const TrainingSet& data, const BootstrapConfig& config) {
-  VOPROF_REQUIRE(config.resamples >= 10);
+  VOPROF_REQUIRE(config.resamples >= kMinResamples);
   const TrainingSet single = data.with_vm_count(1);
   const std::size_t n = single.size();
-  VOPROF_REQUIRE_MSG(n >= 2 * (kMetricCount + 1),
+  VOPROF_REQUIRE_MSG(n >= kMinBootstrapRows,
                      "too few single-VM rows to bootstrap");
 
   util::Rng rng(config.seed);

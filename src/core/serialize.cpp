@@ -1,6 +1,5 @@
 #include "voprof/core/serialize.hpp"
 
-#include <fstream>
 #include <optional>
 #include <sstream>
 
@@ -123,9 +122,10 @@ util::Result<TrainingSet> training_set_from_csv(
   return data;
 }
 
-void save_models(const TrainedModels& models, std::ostream& os) {
+std::string models_to_string(const TrainedModels& models) {
   VOPROF_REQUIRE_MSG(models.single.trained() && models.multi.trained(),
                      "cannot serialize untrained models");
+  std::ostringstream os;
   os << kFormatHeader << '\n';
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     write_fit(os, "single." + kMetricKeys[m],
@@ -139,11 +139,6 @@ void save_models(const TrainedModels& models, std::ostream& os) {
   }
   write_fit(os, "multi.o.dom0_cpu", models.multi.dom0_overhead_fit());
   write_fit(os, "multi.o.hyp_cpu", models.multi.hyp_overhead_fit());
-}
-
-std::string models_to_string(const TrainedModels& models) {
-  std::ostringstream os;
-  save_models(models, os);
   return os.str();
 }
 
@@ -168,16 +163,16 @@ util::Result<TrainedModels> load_models_file_result(const std::string& path) {
   return util::load_file_result(path, models_from_string_result);
 }
 
-void save_models_file(const TrainedModels& models, const std::string& path) {
-  std::ofstream f(path);
-  VOPROF_REQUIRE_MSG(f.good(), "cannot open model file for writing: " + path);
-  save_models(models, f);
+util::Result<bool> save_models_file(const TrainedModels& models,
+                                    const std::string& path) {
+  return util::write_file_result(path, models_to_string(models));
 }
 
 // -------------------------------------------------------- typed model
-void save_hetero_model(const HeteroModel& model, std::ostream& os) {
+std::string hetero_model_to_string(const HeteroModel& model) {
   VOPROF_REQUIRE_MSG(model.trained(),
                      "cannot serialize an untrained typed model");
+  std::ostringstream os;
   os << kHeteroHeader << '\n';
   os << "types";
   for (const auto& t : model.types()) os << ' ' << t;
@@ -188,11 +183,6 @@ void save_hetero_model(const HeteroModel& model, std::ostream& os) {
   }
   write_fit(os, "dom0_cpu", model.dom0_fit());
   write_fit(os, "hyp_cpu", model.hyp_fit());
-}
-
-std::string hetero_model_to_string(const HeteroModel& model) {
-  std::ostringstream os;
-  save_hetero_model(model, os);
   return os.str();
 }
 

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
-#include <fstream>
+
+#include "voprof/util/result.hpp"
 
 namespace voprof::obs {
 
@@ -17,17 +18,6 @@ std::int64_t steady_us() {
       .count();
 }
 
-util::Json args_to_json(const TraceRecord& rec) {
-  util::Json args = util::Json::object();
-  for (const auto& [key, value] : rec.args) {
-    args.set(key, value);
-  }
-  for (const auto& [key, value] : rec.sargs) {
-    args.set(key, value);
-  }
-  return args;
-}
-
 util::Json record_to_json(const TraceRecord& rec) {
   util::Json e = util::Json::object();
   e.set("name", rec.name);
@@ -39,8 +29,13 @@ util::Json record_to_json(const TraceRecord& rec) {
   if (rec.ph == 'X') {
     e.set("dur", static_cast<double>(rec.dur_us));
   }
-  if (!rec.args.empty() || !rec.sargs.empty()) {
-    e.set("args", args_to_json(rec));
+  if (rec.clock == Clock::kSim) {
+    util::Json args = util::Json::object();
+    args.set("value", rec.value);
+    if (!rec.subject.empty()) {
+      args.set("subject", rec.subject);
+    }
+    e.set("args", args);
   }
   return e;
 }
@@ -135,60 +130,27 @@ void TraceCollector::record(TraceRecord rec) {
   events_.push_back(std::move(rec));
 }
 
-void TraceCollector::complete_wall(
-    std::string cat, std::string name, std::int64_t ts_us, std::int64_t dur_us,
-    std::vector<std::pair<std::string, double>> args) {
-  if (!enabled()) {
-    return;
-  }
-  TraceRecord rec;
-  rec.ph = 'X';
-  rec.clock = Clock::kWall;
-  rec.cat = std::move(cat);
-  rec.name = std::move(name);
-  rec.ts_us = ts_us;
-  rec.dur_us = dur_us;
-  rec.tid = thread_id();
-  rec.args = std::move(args);
-  record(std::move(rec));
+void TraceCollector::complete_wall(std::string cat, std::string name,
+                                   std::int64_t ts_us, std::int64_t dur_us) {
+  record({.ph = 'X', .clock = Clock::kWall, .cat = std::move(cat),
+          .name = std::move(name), .ts_us = ts_us, .dur_us = dur_us,
+          .tid = thread_id(), .value = 0.0, .subject = {}});
 }
 
-void TraceCollector::complete_sim(
-    std::string cat, std::string name, std::int64_t ts_us, std::int64_t dur_us,
-    std::uint64_t tid, std::vector<std::pair<std::string, double>> args) {
-  if (!enabled()) {
-    return;
-  }
-  TraceRecord rec;
-  rec.ph = 'X';
-  rec.clock = Clock::kSim;
-  rec.cat = std::move(cat);
-  rec.name = std::move(name);
-  rec.ts_us = ts_us;
-  rec.dur_us = dur_us;
-  rec.tid = tid;
-  rec.args = std::move(args);
-  record(std::move(rec));
+void TraceCollector::complete_sim(std::string cat, std::string name,
+                                  std::int64_t ts_us, std::int64_t dur_us,
+                                  std::uint64_t tid, double value) {
+  record({.ph = 'X', .clock = Clock::kSim, .cat = std::move(cat),
+          .name = std::move(name), .ts_us = ts_us, .dur_us = dur_us,
+          .tid = tid, .value = value, .subject = {}});
 }
 
-void TraceCollector::instant_sim(
-    std::string cat, std::string name, std::int64_t ts_us, std::uint64_t tid,
-    double value, std::string subject) {
-  if (!enabled()) {
-    return;
-  }
-  TraceRecord rec;
-  rec.ph = 'i';
-  rec.clock = Clock::kSim;
-  rec.cat = std::move(cat);
-  rec.name = std::move(name);
-  rec.ts_us = ts_us;
-  rec.tid = tid;
-  rec.args.emplace_back("value", value);
-  if (!subject.empty()) {
-    rec.sargs.emplace_back("subject", std::move(subject));
-  }
-  record(std::move(rec));
+void TraceCollector::instant_sim(std::string cat, std::string name,
+                                 std::int64_t ts_us, std::uint64_t tid,
+                                 double value, std::string subject) {
+  record({.ph = 'i', .clock = Clock::kSim, .cat = std::move(cat),
+          .name = std::move(name), .ts_us = ts_us, .dur_us = 0, .tid = tid,
+          .value = value, .subject = std::move(subject)});
 }
 
 util::Json TraceCollector::to_json() const {
@@ -262,13 +224,7 @@ bool TraceCollector::write_file() {
   if (out_path.empty()) {
     return false;
   }
-  const std::string text = to_json().dump(0);
-  std::ofstream out(out_path);
-  if (!out) {
-    return false;
-  }
-  out << text << '\n';
-  if (!out.good()) {
+  if (!util::write_file_result(out_path, to_json().dump(0) + '\n').ok()) {
     return false;
   }
   disable();

@@ -3,7 +3,6 @@
 #include <cerrno>
 #include <csignal>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 
 #include <fcntl.h>
@@ -324,12 +323,10 @@ void Daemon::flush_conn(Conn& conn) {
 
 void Daemon::final_flush() {
   if (!config_.metrics_out.empty()) {
-    std::ofstream out(config_.metrics_out);
-    if (out.good()) {
-      out << metrics_json().dump(2) << '\n';
-    } else {
-      std::cerr << "voprofd: cannot write metrics to "
-                << config_.metrics_out << '\n';
+    const util::Result<bool> written = util::write_file_result(
+        config_.metrics_out, metrics_json().dump(2) + '\n');
+    if (!written.ok()) {
+      std::cerr << "voprofd: " << written.error().to_string() << '\n';
     }
   }
   auto& collector = obs::TraceCollector::global();

@@ -1,7 +1,6 @@
 #include "voprof/util/csv.hpp"
 
 #include <algorithm>
-#include <fstream>
 #include <sstream>
 #include <utility>
 
@@ -49,7 +48,8 @@ std::vector<double> CsvDocument::column_values(const std::string& name) const {
   return out;
 }
 
-void CsvDocument::write(std::ostream& os) const {
+std::string CsvDocument::str() const {
+  std::ostringstream os;
   for (std::size_t i = 0; i < header_.size(); ++i) {
     os << header_[i];
     if (i + 1 < header_.size()) os << ',';
@@ -64,18 +64,11 @@ void CsvDocument::write(std::ostream& os) const {
     }
     os << '\n';
   }
-}
-
-std::string CsvDocument::str() const {
-  std::ostringstream os;
-  write(os);
   return os.str();
 }
 
-void CsvDocument::save(const std::string& path) const {
-  std::ofstream f(path);
-  VOPROF_REQUIRE_MSG(f.good(), "cannot open CSV for writing: " + path);
-  write(f);
+Result<bool> CsvDocument::save(const std::string& path) const {
+  return write_file_result(path, str());
 }
 
 namespace {

@@ -1,5 +1,6 @@
 #include "voprof/util/result.hpp"
 
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 
@@ -34,6 +35,25 @@ Result<std::string> read_file_result(const std::string& path) {
   std::ostringstream text;
   text << in.rdbuf();
   return text.str();
+}
+
+Result<bool> write_file_result(const std::string& path,
+                               const std::string& text) {
+  std::ofstream out(path);
+  if (!out) return Error{Errc::kIo, "cannot open file for writing", path};
+  if (!(out << text).flush()) return Error{Errc::kIo, "cannot write", path};
+  return true;
+}
+
+Result<bool> check_writable(const std::string& path) {
+  std::error_code ec;
+  // When existence is unknown (ec set), never remove the file.
+  const bool existed = std::filesystem::exists(path, ec) || ec;
+  if (!std::ofstream(path, std::ios::app)) {
+    return Error{Errc::kIo, "cannot open file for writing", path};
+  }
+  if (!existed) std::filesystem::remove(path, ec);
+  return true;
 }
 
 }  // namespace voprof::util

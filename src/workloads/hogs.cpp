@@ -10,7 +10,7 @@ namespace voprof::wl {
 // ---------------------------------------------------------------- CpuHog
 CpuHog::CpuHog(double target_pct, std::uint64_t seed)
     : target_pct_(target_pct), rng_(seed) {
-  VOPROF_REQUIRE(target_pct >= 0.0 && target_pct <= 100.0);
+  VOPROF_REQUIRE(target_pct >= 0.0 && target_pct <= kMaxCpuPct);
 }
 
 sim::ProcessDemand CpuHog::demand(util::SimMicros /*now*/, double /*dt*/) {
@@ -25,7 +25,7 @@ std::string CpuHog::label() const {
 }
 
 void CpuHog::set_target_pct(double pct) {
-  VOPROF_REQUIRE(pct >= 0.0 && pct <= 100.0);
+  VOPROF_REQUIRE(pct >= 0.0 && pct <= kMaxCpuPct);
   target_pct_ = pct;
 }
 

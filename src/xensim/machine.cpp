@@ -1,6 +1,7 @@
 #include "voprof/xensim/machine.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <utility>
 
 #include "voprof/obs/metrics.hpp"
@@ -40,6 +41,12 @@ PhysicalMachine::PhysicalMachine(int id, MachineSpec spec, CostModel costs,
                  costs.multi_vm_sched_efficiency),
       micro_scheduler_(spec.guest_cores, costs.multi_vm_sched_efficiency),
       vdisk_(VDiskGeometry{}, rng_.split().bits()) {}
+
+PhysicalMachine::~PhysicalMachine() {
+  close(contention_);
+  close(disk_throttle_);
+  close(nic_throttle_);
+}
 
 DomU& PhysicalMachine::add_vm(VmSpec vm_spec) {
   VOPROF_REQUIRE_MSG(find_vm(vm_spec.name) == nullptr,
@@ -151,11 +158,37 @@ double PhysicalMachine::hyp_sched_response() const noexcept {
   return std::min(sum, cap);
 }
 
+// Episode bookkeeping reads what a tick computed; it never draws from
+// the RNG or changes a simulated quantity. Its span carries the mean
+// per-tick amount (unmet CPU %, blocks or kbits dropped), which the
+// tick computes only when tracing.
+void PhysicalMachine::track(Episode& e, bool active, double amount,
+                            util::SimMicros now, double dt) {
+  if (!active) {
+    close(e);
+    return;
+  }
+  if (e.ticks == 0) {
+    e.begin = now - std::llround(dt * static_cast<double>(
+                                      util::kMicrosPerSecond));
+  }
+  e.end = now;
+  e.amount += amount;
+  ++e.ticks;
+}
+
+void PhysicalMachine::close(Episode& e) {
+  if (e.ticks == 0) return;
+  obs::TraceCollector::global().complete_sim(
+      e.cat, e.name, e.begin, e.end - e.begin, static_cast<std::uint64_t>(id_),
+      e.amount / static_cast<double>(e.ticks));
+  e = Episode{e.cat, e.name};
+}
+
 void PhysicalMachine::tick(util::SimMicros now, double dt) {
   VOPROF_REQUIRE(dt > 0.0);
   MachineMetrics::get().ticks.add();
-  obs::TraceCollector& trace = obs::TraceCollector::global();
-  const bool traced = trace.enabled();
+  const bool traced = obs::TraceCollector::global().enabled();
   last_now_ = now;
   const bool multi = guests_.size() >= 2;
 
@@ -197,31 +230,20 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     scheduler_.allocate_into(requests, sched_);
   }
   const SchedResult& sched = sched_;
+  // A contention episode: the scheduler fails to satisfy aggregate
+  // demand. Counted when it opens, so one still open at the end counts.
+  double unmet = 0.0;
+  if (sched.contended && contention_.ticks == 0) {
+    MachineMetrics::get().contention_episodes.add();
+  }
   if (traced && sched.contended) {
-    double unmet = 0.0;
     for (std::size_t i = 0; i < requests.size(); ++i) {
       unmet += std::max(0.0, std::min(requests[i].demand_pct,
                                       requests[i].cap_pct) -
                                  sched.granted_pct[i]);
     }
-    trace.instant_sim("scheduler", "sched-contention", now,
-                      static_cast<std::uint64_t>(id_), unmet);
   }
-
-  // Contention episodes as sim-clock spans: open when the scheduler
-  // first fails to satisfy aggregate demand, close on the first
-  // satisfied tick. An episode still open at the end of a run is
-  // dropped (the trace has the per-tick sched-contention instants
-  // regardless).
-  if (sched.contended && contention_begin_ < 0) {
-    contention_begin_ = now;
-  } else if (!sched.contended && contention_begin_ >= 0) {
-    MachineMetrics::get().contention_episodes.add();
-    trace.complete_sim("scheduler", "contention", contention_begin_,
-                       now - contention_begin_,
-                       static_cast<std::uint64_t>(id_));
-    contention_begin_ = -1;
-  }
+  track(contention_, sched.contended, unmet, now, dt);
 
   // ---- 4a. First pass: CPU grants and activity generation. ------------
   blocks_wanted_.assign(guests_.size(), 0.0);
@@ -264,12 +286,9 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     if (disk_scale < 1.0) {
       MachineMetrics::get().disk_throttle_ticks.add();
     }
-    if (traced && disk_scale < 1.0) {
-      trace.instant_sim("device", "disk-throttled", now,
-                        static_cast<std::uint64_t>(id_),
-                        blocks_wanted_total * (1.0 - disk_scale));
-    }
   }
+  track(disk_throttle_, disk_scale < 1.0,
+        traced ? blocks_wanted_total * (1.0 - disk_scale) : 0.0, now, dt);
 
   double guest_blocks_total = 0.0;
   double guest_tx_kbits_total = 0.0;
@@ -330,12 +349,9 @@ void PhysicalMachine::tick(util::SimMicros now, double dt) {
     if (nic_scale < 1.0) {
       MachineMetrics::get().nic_throttle_ticks.add();
     }
-    if (traced && nic_scale < 1.0) {
-      trace.instant_sim("device", "nic-throttled", now,
-                        static_cast<std::uint64_t>(id_),
-                        outbound_kbits * (1.0 - nic_scale));
-    }
   }
+  track(nic_throttle_, nic_scale < 1.0,
+        traced ? outbound_kbits * (1.0 - nic_scale) : 0.0, now, dt);
   double outbound_sent = 0.0;
   for (std::size_t i = 0; i < pending_out.size(); ++i) {
     const double kbits = pending_out[i].kbits * nic_scale;

@@ -142,7 +142,8 @@ util::Json trace_document() {
   collector.disable();
   collector.enable("unused_fuzz_trace.json");
   collector.complete_wall("runner", "SweepRunner.map", 0, 4000);
-  collector.complete_sim("scheduler", "contention", 0, 250000, /*tid=*/0);
+  collector.complete_sim("scheduler", "contention", 0, 250000, /*tid=*/0,
+                         110.0);
   collector.instant_sim("vm", "vm-created", 10, /*tid=*/0, 0.0, "vm1");
   util::Json doc = collector.to_json();
   collector.disable();

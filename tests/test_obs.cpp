@@ -317,8 +317,8 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
   const std::string path = temp_path("test_obs_trace.json");
   col.enable(path);
   ASSERT_TRUE(col.enabled());
-  col.complete_wall("testcat", "wall_span", 5, 10, {{"n", 1.0}});
-  col.complete_sim("simcat", "sim_span", 100, 50, /*tid=*/3);
+  col.complete_wall("testcat", "wall_span", 5, 10);
+  col.complete_sim("simcat", "sim_span", 100, 50, /*tid=*/3, 7.5);
   col.instant_sim("simcat", "blip", 120, /*tid=*/3, 2.5, "vm1");
   { VOPROF_WALL_SPAN("testcat", "scoped"); }
   EXPECT_EQ(col.size(), 4u);
@@ -347,12 +347,15 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
       EXPECT_EQ(ph, "X");
       EXPECT_EQ(pid, obs::kWallPid);
       EXPECT_DOUBLE_EQ(e.at("dur").as_number(), 10.0);
-      EXPECT_DOUBLE_EQ(e.at("args").at("n").as_number(), 1.0);
+      EXPECT_EQ(e.find("args"), nullptr);  // wall spans carry no args
     }
     if (name == "sim_span") {
       saw_sim = true;
+      EXPECT_EQ(ph, "X");
       EXPECT_EQ(pid, obs::kSimPid);
       EXPECT_DOUBLE_EQ(e.at("ts").as_number(), 100.0);
+      EXPECT_DOUBLE_EQ(e.at("args").at("value").as_number(), 7.5);
+      EXPECT_EQ(e.at("args").find("subject"), nullptr);  // none was set
     }
     if (name == "blip") {
       saw_instant = true;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <memory>
 #include <string>
 
@@ -101,6 +102,25 @@ TEST(LoaderResults, ParseAndValidationCodesAreDistinguished) {
   // The throwing shim reports the same failure as ContractViolation.
   EXPECT_THROW((void)scenario::ScenarioSpec::parse("[cluster]\nmachines = 0\n"),
                ContractViolation);
+}
+
+TEST(WriterResults, CheckWritableKeepsFilesAndCreatesNone) {
+  const std::string kept = ::testing::TempDir() + "/voprof_check_kept.txt";
+  ASSERT_TRUE(write_file_result(kept, "keep\n").ok());
+  EXPECT_TRUE(check_writable(kept).ok());
+  EXPECT_EQ(read_file_result(kept).value(), "keep\n");
+  std::filesystem::remove(kept);
+
+  const std::string fresh = ::testing::TempDir() + "/voprof_check_fresh.txt";
+  std::filesystem::remove(fresh);
+  EXPECT_TRUE(check_writable(fresh).ok());
+  EXPECT_FALSE(std::filesystem::exists(fresh));
+
+  const auto missing_dir = check_writable("/nonexistent/dir/m.txt");
+  ASSERT_FALSE(missing_dir.ok());
+  EXPECT_EQ(missing_dir.error().code, Errc::kIo);
+  EXPECT_EQ(missing_dir.error().context, "/nonexistent/dir/m.txt");
+  EXPECT_FALSE(write_file_result("/nonexistent/dir/m.txt", "x").ok());
 }
 
 }  // namespace

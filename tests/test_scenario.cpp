@@ -193,7 +193,7 @@ TEST(ScenarioRun, TraceVmReplaysCsv) {
   {
     util::CsvDocument csv({"vm_cpu", "vm_io"});
     for (int i = 0; i < 10; ++i) csv.add_row({35.0, 12.0});
-    csv.save(path);
+    ASSERT_TRUE(csv.save(path).ok());
   }
   const auto spec = load_text("voprof_scn_trace.conf",
                               "[cluster]\n[vm replay]\ntrace = " + path +
@@ -305,7 +305,7 @@ TEST(ReportPercentiles, PeaksAboveMeansForBurstyLoad) {
     util::CsvDocument csv({"vm_cpu"});
     for (int i = 0; i < 8; ++i) csv.add_row({10.0});
     for (int i = 0; i < 2; ++i) csv.add_row({90.0});
-    csv.save(path);
+    ASSERT_TRUE(csv.save(path).ok());
   }
   const auto spec = load_text("voprof_scn_burst.conf",
                               "[cluster]\n[vm bursty]\ntrace = " + path +

@@ -152,7 +152,7 @@ TEST_F(ModelSerialization, RoundTripPreservesFitQuality) {
 
 TEST_F(ModelSerialization, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/voprof_models.txt";
-  save_models_file(*models_, path);
+  ASSERT_TRUE(save_models_file(*models_, path).ok());
   const TrainedModels back = load_models_file_result(path).value();
   const UtilVec probe{55, 150, 0, 1800};
   EXPECT_DOUBLE_EQ(models_->multi.predict(probe, 2).cpu,

@@ -1,8 +1,9 @@
 /// Simulator events on the obs sim clock: machines and the migration
-/// engine emit VM lifecycle, scheduler contention, device throttling
-/// and migration instants straight into the global TraceCollector,
-/// with the PM id as tid, a numeric `value` arg and, where the event
-/// concerns one VM, a `subject` arg. Skipped when VOPROF_OBS=OFF.
+/// engine emit VM lifecycle and migration instants, and one span per
+/// episode of scheduler contention or device throttling, straight into
+/// the global TraceCollector, with the PM id as tid, a numeric `value`
+/// arg and, where the event concerns one VM, a `subject` arg. Skipped
+/// when VOPROF_OBS=OFF.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "voprof/core/trainer.hpp"
 #include "voprof/obs/trace.hpp"
 #include "voprof/scenario/scenario.hpp"
 #include "voprof/workloads/hogs.hpp"
@@ -37,23 +39,31 @@ class ClusterTracing : public ::testing::Test {
 };
 class TraceEventNames : public ClusterTracing {};
 
-/// The buffered sim-clock instants named `name`, oldest first.
-std::vector<util::Json> instants(const std::string& name) {
+/// The buffered sim-clock events of phase `ph` ("i" instant, "X" span)
+/// named `name`, oldest first; every name is used on one clock only.
+std::vector<util::Json> sim_events(const char* ph, const std::string& name) {
   std::vector<util::Json> out;
   const util::Json doc = obs::TraceCollector::global().to_json();
   for (const util::Json& e : doc.at("traceEvents").as_array()) {
-    if (e.at("ph").as_string() == "i" && e.at("name").as_string() == name) {
+    if (e.at("ph").as_string() == ph && e.at("name").as_string() == name) {
       EXPECT_EQ(e.at("pid").as_number(), obs::kSimPid);
       out.push_back(e);
     }
   }
   return out;
 }
+std::vector<util::Json> instants(const std::string& name) {
+  return sim_events("i", name);
+}
+std::vector<util::Json> spans(const std::string& name) {
+  return sim_events("X", name);
+}
 
-// Field accessors for one exported instant.
+// Field accessors for one exported event.
 std::string cat(const util::Json& e) { return e.at("cat").as_string(); }
 double tid(const util::Json& e) { return e.at("tid").as_number(); }
 double ts(const util::Json& e) { return e.at("ts").as_number(); }
+double dur(const util::Json& e) { return e.at("dur").as_number(); }
 double value(const util::Json& e) {
   return e.at("args").at("value").as_number();
 }
@@ -87,22 +97,32 @@ PhysicalMachine& add_disk_bound_pm(Cluster& cluster) {
 }
 
 TEST_F(ClusterTracing, LifecycleAndContentionEvents) {
-  Engine engine;
-  Cluster cluster(engine, CostModel{}, 3);
-  PhysicalMachine& pm = add_contended_pm(cluster);
-  const auto created = instants("vm-created");
-  ASSERT_EQ(created.size(), 3u);
-  EXPECT_EQ(subject(created[2]), "vm2");
-  engine.run_for(seconds(1));
-  const auto contentions = instants("sched-contention");
-  EXPECT_GE(contentions.size(), 50u);
-  EXPECT_NEAR(value(contentions.back()), 300.0 - 190.0, 10.0);  // unmet %
-  EXPECT_TRUE(subject(contentions.back()).empty());
-  pm.remove_vm("vm0");
-  const auto removed = instants("vm-removed");
-  ASSERT_EQ(removed.size(), 1u);
-  EXPECT_EQ(subject(removed[0]), "vm0");
-  EXPECT_EQ(ts(removed[0]), ts(contentions.back()));  // the last tick
+  {
+    Engine engine;
+    Cluster cluster(engine, CostModel{}, 3);
+    PhysicalMachine& pm = add_contended_pm(cluster);
+    const auto created = instants("vm-created");
+    ASSERT_EQ(created.size(), 3u);
+    EXPECT_EQ(subject(created[2]), "vm2");
+    engine.run_for(seconds(1));
+    pm.remove_vm("vm0");
+    const auto removed = instants("vm-removed");
+    ASSERT_EQ(removed.size(), 1u);
+    EXPECT_EQ(subject(removed[0]), "vm0");
+    EXPECT_EQ(ts(removed[0]), static_cast<double>(seconds(1)));  // last tick
+    // Contended on every tick: the episode is still open.
+    EXPECT_TRUE(spans("contention").empty());
+  }
+  // Destroying the machine closes the episode at the end of its last
+  // tick: one span over the whole run, not one event per tick.
+  const auto contention = spans("contention");
+  ASSERT_EQ(contention.size(), 1u);
+  EXPECT_EQ(tid(contention[0]), 0.0);
+  EXPECT_EQ(ts(contention[0]), 0.0);
+  EXPECT_EQ(dur(contention[0]), static_cast<double>(seconds(1)));
+  EXPECT_NEAR(value(contention[0]), 300.0 - 190.0, 10.0);  // mean unmet %
+  EXPECT_TRUE(subject(contention[0]).empty());
+  EXPECT_TRUE(instants("sched-contention").empty());
 }
 
 TEST_F(ClusterTracing, MigrationEventsLogged) {
@@ -127,39 +147,69 @@ TEST_F(ClusterTracing, MigrationEventsLogged) {
 }
 
 TEST_F(ClusterTracing, ThrottleEventsLogged) {
-  Engine engine;
-  Cluster cluster(engine, CostModel{}, 11);
-  add_disk_bound_pm(cluster);
-  engine.run_for(seconds(5));
-  const auto throttled = instants("disk-throttled");
-  EXPECT_GE(throttled.size(), 10u);
-  EXPECT_GT(value(throttled.back()), 0.0);  // blocks dropped
+  {
+    Engine engine;
+    Cluster cluster(engine, CostModel{}, 11);
+    add_disk_bound_pm(cluster);
+    engine.run_for(seconds(5));
+  }
+  const auto throttled = spans("disk-throttled");
+  ASSERT_EQ(throttled.size(), 1u);
+  EXPECT_EQ(dur(throttled[0]), static_cast<double>(seconds(5)));
+  EXPECT_GT(value(throttled[0]), 0.0);  // mean blocks dropped per tick
+  EXPECT_TRUE(instants("disk-throttled").empty());
 }
 
 TEST_F(ClusterTracing, DisabledByDefault) {
   auto& collector = obs::TraceCollector::global();
   collector.disable();
-  Engine engine;
-  Cluster cluster(engine, CostModel{}, 13);
-  add_contended_pm(cluster);
-  engine.run_for(seconds(1));  // contended, but nobody is listening
+  {
+    Engine engine;
+    Cluster cluster(engine, CostModel{}, 13);
+    add_contended_pm(cluster);
+    engine.run_for(seconds(1));  // contended, but nobody is listening
+  }
   EXPECT_EQ(collector.size(), 0u);
 }
 
 TEST_F(TraceEventNames, CategoriesMatchObsTaxonomy) {
-  Engine engine;
-  Cluster cluster(engine, CostModel{}, 17);
-  PhysicalMachine& pm0 = add_contended_pm(cluster);
-  add_disk_bound_pm(cluster);
-  (void)cluster.migration().start("vm2", 0, 1);
-  engine.run_for(seconds(1));
-  pm0.remove_vm("vm0");
+  {
+    Engine engine;
+    Cluster cluster(engine, CostModel{}, 17);
+    PhysicalMachine& pm0 = add_contended_pm(cluster);
+    add_disk_bound_pm(cluster);
+    (void)cluster.migration().start("vm2", 0, 1);
+    engine.run_for(seconds(1));
+    pm0.remove_vm("vm0");
+  }
   EXPECT_EQ(cat(instants("vm-created").at(0)), "vm");
   EXPECT_EQ(cat(instants("vm-removed").at(0)), "vm");
-  EXPECT_EQ(cat(instants("sched-contention").at(0)), "scheduler");
-  EXPECT_EQ(cat(instants("disk-throttled").at(0)), "device");
-  EXPECT_EQ(tid(instants("disk-throttled").at(0)), 1.0);
+  EXPECT_EQ(cat(spans("contention").at(0)), "scheduler");
+  EXPECT_EQ(cat(spans("disk-throttled").at(0)), "device");
+  EXPECT_EQ(tid(spans("disk-throttled").at(0)), 1.0);
   EXPECT_EQ(cat(instants("migration-started").at(0)), "migration");
+}
+
+// A traced training sweep records its cells' episodes, not their ticks:
+// each 10 s cell runs 1000 machine ticks.
+TEST_F(ClusterTracing, TrainingRecordsEpisodesNotTicks) {
+  model::TrainerConfig cfg;
+  cfg.duration = seconds(10);
+  cfg.jobs = 2;
+  (void)model::Trainer(cfg).train(model::RegressionMethod::kLms);
+  const std::size_t cells =
+      cfg.kinds.size() * wl::kLevelCount * cfg.vm_counts.size();
+  std::size_t sim = 0;
+  const util::Json doc = obs::TraceCollector::global().to_json();
+  for (const util::Json& e : doc.at("traceEvents").as_array()) {
+    if (e.at("ph").as_string() != "M" &&
+        static_cast<int>(e.at("pid").as_number()) == obs::kSimPid) {
+      ++sim;
+    }
+  }
+  EXPECT_GT(sim, 0u);
+  EXPECT_LE(sim, 4 * cells);
+  EXPECT_FALSE(spans("contention").empty());
 }
 
 // Replications run on pool workers that all record into the one
@@ -180,7 +230,7 @@ TEST_F(ClusterTracing, ParallelReplicationsEmitTheSameEvents) {
   for (int k = 0; k < 2; ++k) {
     collector.clear();
     (void)scenario::run_scenario_replicated(spec, 4, jobs[k]);
-    EXPECT_GE(instants("sched-contention").size(), 4u * 250u) << jobs[k];
+    EXPECT_GE(spans("contention").size(), 4u) << jobs[k];
     // Sim-clock events as text, sorted: a multiset that ignores the
     // order the workers recorded them in.
     const util::Json doc = collector.to_json();

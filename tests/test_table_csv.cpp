@@ -136,7 +136,7 @@ TEST(Csv, SaveAndLoadFile) {
   CsvDocument doc({"x"});
   doc.add_row({42.0});
   const std::string path = ::testing::TempDir() + "/voprof_csv_test.csv";
-  doc.save(path);
+  ASSERT_TRUE(doc.save(path).ok());
   const CsvDocument loaded = CsvDocument::load_result(path).value();
   EXPECT_DOUBLE_EQ(loaded.at(0, "x"), 42.0);
 }

@@ -8,7 +8,6 @@
 /// prints them); tools/command_line.hpp is the exit-code contract.
 
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -56,6 +55,19 @@ int loader_error(const util::Error& err) {
   return 1;
 }
 
+/// A flag value the library would reject: exit 1 with a validation
+/// error naming the flag, before any work runs.
+int flag_error(const std::string& flag, const std::string& message) {
+  return loader_error({util::Errc::kValidation, message, "--" + flag});
+}
+
+/// Exit 1 with the error of a failed file operation, else 0. Outputs
+/// are checked with util::check_writable before any work runs, so an
+/// unwritable path fails at once rather than after a long sweep.
+int failed(const util::Result<bool>& done) {
+  return done.ok() ? 0 : loader_error(done.error());
+}
+
 /// The observation CSV named by --observations.
 util::Result<model::TrainingSet> load_observations(const util::CliArgs& args) {
   util::Result<util::CsvDocument> csv =
@@ -73,12 +85,14 @@ model::TrainerConfig trainer_config(const util::CliArgs& args) {
 }
 
 int cmd_train(const util::CliArgs& args) {
+  if (const int rc = failed(util::check_writable(args.get("out")))) return rc;
   const model::Trainer trainer(trainer_config(args));
   const auto method = method_of(args, "lms");
   std::cout << "training (" << args.get_or("method", "lms")
             << ", full Table II sweep x {1,2,4} VMs)...\n";
   const model::TrainedModels models = trainer.train(method);
-  model::save_models_file(models, args.get("out"));
+  if (const int rc = failed(model::save_models_file(models, args.get("out"))))
+    return rc;
   std::cout << "wrote " << args.get("out") << " ("
             << models.data.size() << " observations)\n";
   const model::LinearFit& cpu =
@@ -89,22 +103,27 @@ int cmd_train(const util::CliArgs& args) {
 }
 
 int cmd_export_trace(const util::CliArgs& args) {
+  if (const int rc = failed(util::check_writable(args.get("out")))) return rc;
   const model::Trainer trainer(trainer_config(args));
   std::cout << "collecting observations...\n";
   const model::TrainingSet data = trainer.collect();
-  model::training_set_to_csv(data).save(args.get("out"));
+  if (const int rc =
+          failed(model::training_set_to_csv(data).save(args.get("out"))))
+    return rc;
   std::cout << "wrote " << args.get("out") << " (" << data.size()
             << " rows)\n";
   return 0;
 }
 
 int cmd_fit(const util::CliArgs& args) {
+  if (const int rc = failed(util::check_writable(args.get("out")))) return rc;
   util::Result<model::TrainingSet> loaded = load_observations(args);
   if (!loaded.ok()) return loader_error(loaded.error());
   const model::TrainingSet data = std::move(loaded).take();
   const model::TrainedModels models =
       model::Trainer::fit_models(data, method_of(args, "lms"));
-  model::save_models_file(models, args.get("out"));
+  if (const int rc = failed(model::save_models_file(models, args.get("out"))))
+    return rc;
   std::cout << "fitted " << data.size() << " observations -> "
             << args.get("out") << '\n';
   return 0;
@@ -164,6 +183,11 @@ int cmd_predict(const util::CliArgs& args) {
 int cmd_profile(const util::CliArgs& args) {
   const wl::WorkloadKind kind = kind_of(args);
   const double value = args.get_double("value", 50.0);
+  if (kind == wl::WorkloadKind::kCpu && value > wl::kMaxCpuPct) {
+    return flag_error("value", "a cpu workload is at most " +
+                                   util::fmt(wl::kMaxCpuPct, 0) +
+                                   " % of one VCPU");
+  }
   const int n_vms = args.get_int("vms", 1);
   const double duration = args.get_double("duration", 60.0);
 
@@ -216,12 +240,22 @@ int cmd_profile(const util::CliArgs& args) {
 }
 
 int cmd_inspect(const util::CliArgs& args) {
-  util::Result<model::TrainingSet> loaded = load_observations(args);
-  if (!loaded.ok()) return loader_error(loaded.error());
-  const model::TrainingSet data = std::move(loaded).take();
   model::BootstrapConfig cfg;
   cfg.method = method_of(args, "ols");
   cfg.resamples = args.get_int("resamples", 200);
+  if (cfg.resamples < model::kMinResamples) {
+    return flag_error("resamples", "must be at least " +
+                                       std::to_string(model::kMinResamples));
+  }
+  util::Result<model::TrainingSet> loaded = load_observations(args);
+  if (!loaded.ok()) return loader_error(loaded.error());
+  const model::TrainingSet data = std::move(loaded).take();
+  if (data.with_vm_count(1).size() < model::kMinBootstrapRows) {
+    return loader_error({util::Errc::kValidation,
+                         "too few single-VM rows to bootstrap (need " +
+                             std::to_string(model::kMinBootstrapRows) + ")",
+                         args.get("observations")});
+  }
   std::cout << "bootstrapping " << cfg.resamples << " resamples over "
             << data.with_vm_count(1).size() << " single-VM rows...\n";
   std::cout << model::diagnostics_table(
@@ -270,6 +304,12 @@ int cmd_simulate(const util::CliArgs& args) {
     return 0;
   }
 
+  // Only a single replication's table run writes the series.
+  const bool series = replications == 1 && args.has("series-out");
+  if (series) {
+    if (const int rc = failed(util::check_writable(args.get("series-out"))))
+      return rc;
+  }
   std::cout << "running scenario: " << spec.machines << " machine(s), "
             << spec.vms.size() << " VM(s), "
             << util::fmt(spec.duration_s, 0) << " s\n\n";
@@ -282,10 +322,12 @@ int cmd_simulate(const util::CliArgs& args) {
   } else {
     const scenario::ScenarioResult result = scenario::run_scenario(spec);
     std::cout << result.summary();
-    if (args.has("series-out")) {
+    if (series) {
       // Export the first monitored machine's full series.
       const auto& [machine, report] = *result.reports.begin();
-      mon::report_to_csv(report).save(args.get("series-out"));
+      if (const int rc =
+              failed(mon::report_to_csv(report).save(args.get("series-out"))))
+        return rc;
       std::cout << "wrote machine " << machine << " series to "
                 << args.get("series-out") << '\n';
     }
@@ -352,12 +394,9 @@ int cmd_trace(const tools::CommandLine& cl, const util::CliArgs& args) {
   } else if (sub == "top") {
     std::cout << tools::format_trace_top(summary, args.get_int("limit", 10));
   } else if (args.has("out")) {
-    std::ofstream out(args.get("out"));
-    if (!out.good()) {
-      return loader_error(util::Error{
-          util::Errc::kIo, "cannot open file for writing", args.get("out")});
-    }
-    out << tools::trace_spans_csv(summary);
+    if (const int rc = failed(util::write_file_result(
+            args.get("out"), tools::trace_spans_csv(summary))))
+      return rc;
     std::cout << "wrote " << summary.spans.size() << " span rows to "
               << args.get("out") << '\n';
   } else {
