@@ -20,16 +20,6 @@ namespace voprof::bench::harness {
 
 namespace {
 
-/// Integer environment override; returns fallback when unset/malformed.
-int env_int(const char* name, int fallback) {
-  const char* raw = std::getenv(name);
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const long v = std::strtol(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
-  return static_cast<int>(v);
-}
-
 bool json_disabled() {
   const char* raw = std::getenv("VOPROF_BENCH_JSON");
   return raw != nullptr && std::string(raw) == "0";
@@ -132,9 +122,6 @@ Session::~Session() {
 
 void Session::bench(const std::string& name, BenchOptions opt,
                     const std::function<RepResult()>& body) {
-  opt.reps = std::max(1, env_int("VOPROF_BENCH_REPS", opt.reps));
-  opt.warmup = std::max(0, env_int("VOPROF_BENCH_WARMUP", opt.warmup));
-
   for (int i = 0; i < opt.warmup; ++i) (void)body();
 
   Measurement m;

@@ -16,8 +16,6 @@
 /// Environment knobs:
 ///   VOPROF_BENCH_DIR     output directory (default: current directory)
 ///   VOPROF_BENCH_JSON=0  disable the JSON emission entirely
-///   VOPROF_BENCH_REPS    override repetitions of every Session::bench
-///   VOPROF_BENCH_WARMUP  override warmup runs of every Session::bench
 
 #include <cstdint>
 #include <functional>

@@ -19,15 +19,15 @@
 /// Cost model: when the collector is disabled (the default), every
 /// record path is one relaxed atomic load and a branch; when the build
 /// has VOPROF_OBS off it is nothing at all. Enabling buffers events in
-/// memory under a mutex — tracing is an observation mode, not a hot
-/// path, and a run emits thousands of events, not millions: a traced
-/// default `voprofctl train --jobs 4` writes 361 events (24 357 when
-/// every contended 10 ms tick was an instant), and the end-to-end
-/// benchmark's traced `train` about 28 000 (3.8 million before).
+/// memory under a mutex, about 140 bytes per event (a traced default
+/// `voprofctl train --jobs 4` holds 361): tracing is an observation
+/// mode, not a hot path. Writing the file streams the buffer one event
+/// at a time, so it adds a constant amount of memory at any size.
 
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <iosfwd>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -104,9 +104,6 @@ class TraceCollector {
   void enable(std::string path);
   /// Stop collecting and drop buffered events without writing.
   void disable();
-  /// Reads VOPROF_TRACE; when set and non-empty, enable(its value).
-  /// Idempotent. Apps and benches call this once at startup.
-  void init_from_env();
 
   [[nodiscard]] std::string path() const;
 
@@ -123,14 +120,15 @@ class TraceCollector {
   void instant_sim(std::string cat, std::string name, std::int64_t ts_us,
                    std::uint64_t tid, double value, std::string subject = {});
 
-  /// Full export: Chrome trace-event object with traceEvents (metadata
-  /// + buffered events + one 'C' counter sample per registry metric),
+  /// write_file()'s document parsed back: traceEvents (metadata +
+  /// buffered events + one 'C' counter sample per registry metric),
   /// displayTimeUnit, plus voprof extras (schema, voprofMetrics).
   [[nodiscard]] util::Json to_json() const;
 
-  /// Write to_json() to path(); returns false (and keeps the buffer)
-  /// on I/O failure. Disables the collector on success.
-  bool write_file();
+  /// Stream the voprof-trace-1 document to path(), one event at a
+  /// time, then disable the collector. Errc::kIo when nothing is
+  /// enabled or the file cannot be written.
+  util::Result<bool> write_file();
 
   [[nodiscard]] std::size_t size() const;
   /// Drop buffered events, keep enabled state and epoch. Tests only.
@@ -138,10 +136,11 @@ class TraceCollector {
 
  private:
   void record(TraceRecord rec);
+  /// The one serializer of voprof-trace-1 (compact util::Json text).
+  void write_document(std::ostream& out) const;
 
   mutable std::mutex mutex_;
   std::atomic<bool> enabled_{false};
-  bool env_checked_ = false;
   std::string path_;
   std::int64_t epoch_us_ = 0;  ///< steady-clock us at enable()
   std::vector<TraceRecord> events_;

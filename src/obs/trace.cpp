@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-
-#include "voprof/util/result.hpp"
+#include <fstream>
+#include <iostream>
+#include <sstream>
 
 namespace voprof::obs {
 
@@ -40,18 +40,6 @@ util::Json record_to_json(const TraceRecord& rec) {
   return e;
 }
 
-util::Json metadata_event(int pid, const char* label) {
-  util::Json e = util::Json::object();
-  e.set("name", "process_name");
-  e.set("ph", "M");
-  e.set("pid", pid);
-  e.set("tid", 0);
-  util::Json args = util::Json::object();
-  args.set("name", label);
-  e.set("args", args);
-  return e;
-}
-
 }  // namespace
 
 std::int64_t wall_clock_us() noexcept {
@@ -72,8 +60,13 @@ TraceCollector& TraceCollector::global() {
 }
 
 TraceCollector::~TraceCollector() {
-  if (enabled()) {
-    write_file();
+  if (!enabled()) {
+    return;
+  }
+  // The flush at exit has no caller to return a failure to.
+  const util::Result<bool> written = write_file();
+  if (!written.ok()) {
+    std::cerr << "voprof trace: " << written.error().to_string() << '\n';
   }
 }
 
@@ -94,20 +87,6 @@ void TraceCollector::disable() {
   enabled_.store(false, std::memory_order_relaxed);
   events_.clear();
   path_.clear();
-}
-
-void TraceCollector::init_from_env() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (env_checked_) {
-      return;
-    }
-    env_checked_ = true;
-  }
-  const char* path = std::getenv("VOPROF_TRACE");
-  if (path != nullptr && *path != '\0') {
-    enable(path);
-  }
 }
 
 std::string TraceCollector::path() const {
@@ -153,16 +132,21 @@ void TraceCollector::instant_sim(std::string cat, std::string name,
           .value = value, .subject = std::move(subject)});
 }
 
-util::Json TraceCollector::to_json() const {
-  util::Json events = util::Json::array();
-  events.push_back(metadata_event(kWallPid, "wall clock"));
-  events.push_back(metadata_event(kSimPid, "sim clock"));
-
+void TraceCollector::write_document(std::ostream& out) const {
+  // The compact util::Json form of the whole document, written one
+  // event at a time so the cost of a write does not grow with the
+  // buffer: the two process-name metadata events, the buffered events,
+  // then the registry snapshot.
+  out << "{\"traceEvents\":[";
+  out << R"({"name":"process_name","ph":"M","pid":)" << kWallPid
+      << R"(,"tid":0,"args":{"name":"wall clock"}})";
+  out << R"(,{"name":"process_name","ph":"M","pid":)" << kSimPid
+      << R"(,"tid":0,"args":{"name":"sim clock"}})";
   std::int64_t counter_ts = 0;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& rec : events_) {
-      events.push_back(record_to_json(rec));
+      out << ',' << record_to_json(rec).dump(0);
       if (rec.clock == Clock::kWall) {
         counter_ts = std::max(counter_ts, rec.ts_us + rec.dur_us);
       }
@@ -185,7 +169,7 @@ util::Json TraceCollector::to_json() const {
     util::Json cargs = util::Json::object();
     cargs.set("value", entry.value);
     c.set("args", cargs);
-    events.push_back(c);
+    out << ',' << c.dump(0);
 
     util::Json m = util::Json::object();
     m.set("kind", entry.kind);
@@ -206,28 +190,31 @@ util::Json TraceCollector::to_json() const {
     }
     metrics.set(entry.name, m);
   }
-
-  util::Json doc = util::Json::object();
-  doc.set("traceEvents", events);
-  doc.set("displayTimeUnit", "ms");
-  doc.set("schema", kTraceSchema);
-  doc.set("voprofMetrics", metrics);
-  return doc;
+  out << "],\"displayTimeUnit\":\"ms\",\"schema\":\"" << kTraceSchema
+      << "\",\"voprofMetrics\":" << metrics.dump(0) << "}\n";
 }
 
-bool TraceCollector::write_file() {
-  std::string out_path;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    out_path = path_;
-  }
+util::Json TraceCollector::to_json() const {
+  std::ostringstream text;
+  write_document(text);
+  return util::Json::parse_result(text.str()).value();
+}
+
+util::Result<bool> TraceCollector::write_file() {
+  const std::string out_path = path();
   if (out_path.empty()) {
-    return false;
+    return util::Error{util::Errc::kIo, "no trace file enabled", "trace"};
   }
-  if (!util::write_file_result(out_path, to_json().dump(0) + '\n').ok()) {
-    return false;
+  std::ofstream out(out_path);
+  if (out) {
+    write_document(out);
+    out.close();
   }
+  // One attempt: a failed write is reported, not retried at exit.
   disable();
+  if (!out) {
+    return util::Error{util::Errc::kIo, "cannot write trace file", out_path};
+  }
   return true;
 }
 

@@ -332,8 +332,11 @@ void Daemon::final_flush() {
   auto& collector = obs::TraceCollector::global();
   if (collector.enabled()) {
     const std::string path = collector.path();
-    if (collector.write_file()) {
+    const util::Result<bool> written = collector.write_file();
+    if (written.ok()) {
       std::cerr << "voprofd: wrote trace to " << path << '\n';
+    } else {
+      std::cerr << "voprofd: " << written.error().to_string() << '\n';
     }
   }
 }

@@ -23,8 +23,11 @@ bool is_flag(const std::string& token) { return token.rfind("--", 0) == 0; }
 /// How the errors of one input surface name a key: "flag --jobs",
 /// "key 'cpu'", "param 'vms'" (`spelled` alone: --jobs, 'cpu').
 std::string spelled(std::string_view noun, std::string_view name) {
-  return noun == "flag" ? "--" + std::string(name)
-                        : "'" + std::string(name) + "'";
+  // Appended: GCC 12 -O3 misreports `"--" + std::string` (-Wrestrict).
+  const bool flag = noun == "flag";
+  std::string out;
+  out.reserve(name.size() + 2);
+  return out.append(flag ? "--" : "'").append(name).append(flag ? "" : "'");
 }
 std::string named(const char* noun, std::string_view name) {
   return noun + (' ' + spelled(noun, name));

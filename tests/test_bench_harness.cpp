@@ -123,18 +123,5 @@ TEST(Harness, WritesParsableFileToBenchDir) {
   unsetenv("VOPROF_BENCH_DIR");
 }
 
-TEST(Harness, EnvKnobsOverrideRepetitions) {
-  ASSERT_EQ(setenv("VOPROF_BENCH_REPS", "2", 1), 0);
-  ASSERT_EQ(setenv("VOPROF_BENCH_WARMUP", "0", 1), 0);
-  Session session("bench_knobs");
-  session.set_auto_write(false);
-  session.bench("w", BenchOptions{5, 9}, [] { return seeded_rep(3); });
-  ASSERT_EQ(session.measurements().size(), 1u);
-  EXPECT_EQ(session.measurements()[0].reps, 2);
-  EXPECT_EQ(session.measurements()[0].warmup, 0);
-  unsetenv("VOPROF_BENCH_REPS");
-  unsetenv("VOPROF_BENCH_WARMUP");
-}
-
 }  // namespace
 }  // namespace voprof::bench::harness

@@ -137,7 +137,7 @@ TEST(Json, RepeatedKeysKeepFirstPositionAndLastValue) {
   std::string wide = "{";
   Json expected = Json::object();
   for (int i = 0; i < 100; ++i) {
-    const std::string key = "k" + std::to_string(i % 40);
+    const std::string key = std::string("k").append(std::to_string(i % 40));
     wide += (i > 0 ? ",\"" : "\"") + key + "\":" + std::to_string(i);
     expected.set(key, i);
   }

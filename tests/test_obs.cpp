@@ -1,11 +1,12 @@
 // Observability layer: metric registry semantics, lock-free writer
 // correctness under a real TaskPool fan-out and on more threads than
 // a Counter has shards (the TSan job runs this binary via
-// `ctest -L concurrency`), and the Chrome-trace exporter —
-// whose output must round-trip through util::Json and carry the
-// voprof-trace-1 schema the trace tooling validates.
+// `ctest -L concurrency`), and the Chrome-trace writer — whose output
+// must be the exact voprof-trace-1 text, round-trip through util::Json
+// and cost constant memory however many events it streams.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -38,6 +39,23 @@ std::string slurp(const std::string& path) {
   os << f.rdbuf();
   return os.str();
 }
+
+/// Peak resident set size of this process so far, in KiB.
+long peak_rss_kib() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_maxrss;
+}
+
+// ASan keeps freed blocks in a quarantine (256 MiB by default), so
+// under it every short-lived allocation of a write adds to peak RSS.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr bool kAsan = true;
+#elif defined(__has_feature)
+constexpr bool kAsan = __has_feature(address_sanitizer);
+#else
+constexpr bool kAsan = false;
+#endif
 
 TEST(Metrics, CounterCountsAndResets) {
   if constexpr (!obs::kObsCompiled) {
@@ -323,7 +341,7 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
   { VOPROF_WALL_SPAN("testcat", "scoped"); }
   EXPECT_EQ(col.size(), 4u);
 
-  ASSERT_TRUE(col.write_file());
+  ASSERT_TRUE(col.write_file().ok());
   EXPECT_FALSE(col.enabled());  // flushing disables
 
   const util::Json doc = util::Json::parse_result(slurp(path)).value();
@@ -369,6 +387,91 @@ TEST(Trace, ExportedJsonIsValidAndTagged) {
   EXPECT_TRUE(saw_instant);
   // The full metrics snapshot rides along for `voprofctl trace`.
   EXPECT_TRUE(doc.at("voprofMetrics").is_object());
+  std::remove(path.c_str());
+}
+
+TEST(Trace, WritesExactEventText) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  auto& col = obs::TraceCollector::global();
+  const std::string path = temp_path("test_obs_golden.json");
+  col.enable(path);
+  col.complete_wall("wallcat", "w", 5, 10);
+  col.complete_sim("simcat", "s", 100, 50, /*tid=*/3, 7.5);
+  col.instant_sim("vm", "vm-created", 120, /*tid=*/4, 0.25, "vm\"1\n");
+  const util::Json doc = col.to_json();
+  ASSERT_TRUE(col.write_file().ok());
+
+  const std::string text = slurp(path);
+  const std::string events =
+      R"({"traceEvents":[)"
+      R"({"name":"process_name","ph":"M","pid":1,"tid":0,)"
+      R"("args":{"name":"wall clock"}},)"
+      R"({"name":"process_name","ph":"M","pid":2,"tid":0,)"
+      R"("args":{"name":"sim clock"}},)"
+      R"({"name":"w","cat":"wallcat","ph":"X","pid":1,"tid":)" +
+      std::to_string(obs::thread_id()) +
+      R"(,"ts":5,"dur":10},)"
+      R"({"name":"s","cat":"simcat","ph":"X","pid":2,"tid":3,"ts":100,)"
+      R"("dur":50,"args":{"value":7.5}},)"
+      R"({"name":"vm-created","cat":"vm","ph":"i","pid":2,"tid":4,)"
+      R"("ts":120,"args":{"value":0.25,"subject":"vm\"1\n"}})";
+  EXPECT_EQ(text.substr(0, events.size()), events);
+  // A counter sample per registered metric, then the document tail.
+  EXPECT_NE(text.find(R"(],"displayTimeUnit":"ms",)"
+                      R"("schema":"voprof-trace-1","voprofMetrics":{)"),
+            std::string::npos);
+  // to_json() is the parse of the same text, and dumps back to it.
+  EXPECT_EQ(doc.dump(0) + '\n', text);
+  std::remove(path.c_str());
+}
+
+TEST(Trace, FailedWriteIsAnError) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+  if (!std::ifstream("/dev/full")) {
+    GTEST_SKIP() << "no /dev/full to fail the write";
+  }
+
+  auto& col = obs::TraceCollector::global();
+  col.enable("/dev/full");
+  col.complete_wall("testcat", "span", 0, 1);
+  const util::Result<bool> written = col.write_file();
+  ASSERT_FALSE(written.ok());
+  EXPECT_EQ(written.error().code, util::Errc::kIo);
+  EXPECT_EQ(written.error().context, "/dev/full");
+  EXPECT_FALSE(col.enabled());  // not retried at exit
+}
+
+TEST(Trace, WritingTakesConstantMemory) {
+  if constexpr (!obs::kObsCompiled) {
+    GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
+  }
+
+  auto& col = obs::TraceCollector::global();
+  const std::string path = temp_path("test_obs_large.json");
+  col.enable(path);
+  constexpr std::size_t kEvents = 250000;
+  for (std::size_t i = 0; i < kEvents; ++i) {
+    col.complete_wall("testcat", "span", static_cast<std::int64_t>(i), 1);
+  }
+  ASSERT_EQ(col.size(), kEvents);
+  const long before_kib = peak_rss_kib();
+  ASSERT_TRUE(col.write_file().ok());
+  const long growth_kib = peak_rss_kib() - before_kib;
+  if (!kAsan) {
+    EXPECT_LE(growth_kib, 16 * 1024) << "peak RSS grew by " << growth_kib
+                                     << " KiB while writing";
+  }
+
+  const util::Result<util::Json> doc = util::Json::parse_result(slurp(path));
+  ASSERT_TRUE(doc.ok()) << doc.error().to_string();
+  EXPECT_EQ(doc.value().at("traceEvents").as_array().size() -
+                doc.value().at("voprofMetrics").as_object().size(),
+            kEvents + 2);
   std::remove(path.c_str());
 }
 

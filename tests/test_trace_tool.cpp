@@ -152,11 +152,15 @@ TEST(TraceTool, ExportCsvHasHeaderAndAllSpanRows) {
     GTEST_SKIP() << "observability compiled out (VOPROF_OBS=OFF)";
   }
 
-  const tools::TraceSummary s = tools::summarize_trace(sample_doc());
+  tools::TraceSummary s = tools::summarize_trace(sample_doc());
+  s.spans.push_back({"odd", "a,\"b\"\nc", 1, 2.0, 0.0});
   const std::string csv = tools::trace_spans_csv(s);
   EXPECT_EQ(csv.rfind("category,name,count,wall_ms,sim_ms\n", 0), 0u);
   EXPECT_NE(csv.find("runner,SweepRunner.map,2,"), std::string::npos);
   EXPECT_NE(csv.find("scheduler,contention,1,"), std::string::npos);
+  // RFC 4180: a field holding a comma, quote or newline is quoted and
+  // its quotes doubled.
+  EXPECT_NE(csv.find("\nodd,\"a,\"\"b\"\"\nc\",1,2,0\n"), std::string::npos);
 }
 
 TEST(TraceTool, LoadsFromFile) {

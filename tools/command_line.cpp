@@ -19,11 +19,16 @@ util::CliArgs CommandLine::parse_or_exit(
   util::Result<util::CliArgs> args =
       util::CliArgs::parse(tokens, flags, operands);
   if (!args.ok()) fail(args.error().message);
-  auto& collector = obs::TraceCollector::global();
-  if (args.value().has("trace-out")) {
-    collector.enable(args.value().get("trace-out"));
-  } else {
-    collector.init_from_env();
+  const char* env = std::getenv("VOPROF_TRACE");
+  const std::string trace =
+      args.value().get_or("trace-out", env != nullptr ? env : "");
+  if (!trace.empty()) {
+    const util::Result<bool> writable = util::check_writable(trace);
+    if (!writable.ok()) {
+      std::cerr << program << ": " << writable.error().to_string() << '\n';
+      std::exit(1);
+    }
+    obs::TraceCollector::global().enable(trace);
   }
   return std::move(args).take();
 }

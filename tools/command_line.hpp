@@ -10,7 +10,9 @@
 ///    program rejects after parsing, prints the error and the usage on
 ///    stderr and exits 2, before any work runs;
 ///  * otherwise `--trace-out FILE`, else VOPROF_TRACE, enables the
-///    observability trace collector.
+///    observability trace collector; a trace file that cannot be
+///    written is one io error on stderr and exit 1, before any work
+///    runs.
 
 #include <cstddef>
 #include <string>

@@ -27,6 +27,19 @@ std::string string_or(const util::Json& event, const char* key,
   return (v != nullptr && v->is_string()) ? v->as_string() : fallback;
 }
 
+/// A CSV text field, quoted per RFC 4180 when it holds a comma, a
+/// double quote or a line break.
+std::string csv_field(const std::string& field) {
+  if (field.find_first_of(",\"\r\n") == std::string::npos) return field;
+  std::string out = "\"";
+  for (const char c : field) {
+    if (c == '"') out += '"';
+    out += c;
+  }
+  out += '"';
+  return out;
+}
+
 }  // namespace
 
 TraceSummary summarize_trace(const util::Json& doc) {
@@ -129,9 +142,9 @@ std::string format_trace_top(const TraceSummary& s, int limit) {
 std::string trace_spans_csv(const TraceSummary& s) {
   std::string out = "category,name,count,wall_ms,sim_ms\n";
   for (const TraceSpanStats& sp : s.spans) {
-    out += sp.category;
+    out += csv_field(sp.category);
     out += ',';
-    out += sp.name;
+    out += csv_field(sp.name);
     out += ',';
     out += std::to_string(sp.count);
     out += ',';

@@ -7,6 +7,7 @@
 /// usage text are declared in tools/ctl_flags.cpp (`voprofctl help`
 /// prints them); tools/command_line.hpp is the exit-code contract.
 
+#include <algorithm>
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -524,10 +525,10 @@ int main(int argc, char** argv) {
     if (collector.enabled()) {
       const std::string path = collector.path();
       const std::size_t events = collector.size();
-      if (collector.write_file()) {
-        std::cout << "wrote trace (" << events << " events) to " << path
-                  << '\n';
-      }
+      const util::Result<bool> written = collector.write_file();
+      if (!written.ok()) return std::max(rc, loader_error(written.error()));
+      std::cout << "wrote trace (" << events << " events) to " << path
+                << '\n';
     }
     return rc;
   } catch (const std::exception& e) {
