@@ -223,5 +223,5 @@ int main(int argc, char** argv) {
          "    confirming the error source and pointing at the cheapest "
          "improvement\n"
          "    to the published model.\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

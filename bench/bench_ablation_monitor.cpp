@@ -81,5 +81,5 @@ int main(int argc, char** argv) {
          "monitored production host - small here, but exactly the kind\n"
          "of systematic bias the paper's synchronized-script design\n"
          "avoids relative to stacking ad-hoc tools with unknown cost.\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -108,5 +108,5 @@ int main(int argc, char** argv) {
                "everyone the fair share each tick. At the paper's 1 s "
                "sampling the two are indistinguishable - which is why "
                "the macro model is a sound substitution.\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -141,5 +141,5 @@ int main(int argc, char** argv) {
          "guests - the\n"
          "    specific critique in Sec. II ('neglected the CPU overhead "
          "in Xen hypervisor').\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

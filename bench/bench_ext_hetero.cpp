@@ -134,5 +134,5 @@ int main(int argc, char** argv) {
          "     (random elemental subsets go near-singular). Use OLS (or "
          "a ridge variant)\n"
          "     for the typed extension.\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -174,5 +174,5 @@ int main(int argc, char** argv) {
                 "its constants, is what this repo reproduces)\n",
                 err.mean());
   }
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -61,5 +61,5 @@ int main(int argc, char** argv) {
          "XenServer's default layout - an operator can halve the "
          "overhead by\nmatching stripe size to the workload's request "
          "size.\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -91,5 +91,5 @@ int main(int argc, char** argv) {
             << "  (VOU packs 4 VMs on one PM until the memory check "
                "trips; with loaded fillers the RUBiS VMs starve for "
                "CPU it did not account for.)\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -178,5 +178,5 @@ int main(int argc, char** argv) {
   fig2c(opts);
   fig2d(opts);
   fig2e(opts);
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -163,5 +163,5 @@ int main(int argc, char** argv) {
   fig3c(opts);
   fig3d(opts);
   fig3e(opts);
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -157,5 +157,5 @@ int main(int argc, char** argv) {
   fig4c(opts);
   fig4d(opts);
   fig4e(opts);
-  return 0;
+  return voprof::bench::harness::finish();
 }

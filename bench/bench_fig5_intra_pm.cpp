@@ -89,5 +89,5 @@ int main(int argc, char** argv) {
                "workload ===\n\n";
   fig5a(opts);
   fig5b(opts);
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -104,5 +104,5 @@ int main(int argc, char** argv) {
         e2.of(model::MetricIndex::kBw).error_at_fraction(0.9),
         e2.of(model::MetricIndex::kCpu).predicted.size());
   }
-  return 0;
+  return voprof::bench::harness::finish();
 }

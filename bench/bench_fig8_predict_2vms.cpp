@@ -52,5 +52,5 @@ int main(int argc, char** argv) {
   std::cout << "Shape notes (paper): bandwidth predictions beat CPU "
                "predictions because two co-located VMs impose little "
                "bandwidth overhead; PM2 errors exceed PM1 errors.\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -61,5 +61,5 @@ int main(int argc, char** argv) {
   std::printf("Worst 80%% bandwidth error bound: %.2f%% (paper: 80%% of "
               "predictions within 1%% on both PMs)\n",
               worst_p80_bw);
-  return 0;
+  return voprof::bench::harness::finish();
 }

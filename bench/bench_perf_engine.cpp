@@ -150,8 +150,10 @@ int main(int argc, char** argv) {
   bench_monitored(session);
   bench_rubis(session);
   bench_snapshot(session);
-  session.write_file();
-  std::printf("wrote %s (%zu benchmarks)\n", session.output_path().c_str(),
-              session.measurements().size());
-  return 0;
+  const int rc = voprof::bench::harness::finish();
+  if (rc == 0) {
+    std::printf("wrote %s (%zu benchmarks)\n", session.output_path().c_str(),
+                session.measurements().size());
+  }
+  return rc;
 }

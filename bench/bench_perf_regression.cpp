@@ -2,9 +2,10 @@
 /// Harness microbenchmarks of the regression back-ends: OLS
 /// (Householder QR) vs Least Median of Squares (random elemental
 /// subsets) across observation counts and on the Table II training
-/// rows, plus full model fits and prediction throughput. LMS is the
-/// paper's cited estimator [24]; this quantifies what its robustness
-/// costs. Emits BENCH_perf_regression.json for the CI perf gate.
+/// rows, plus full model fits (the trainer's twelve-fit step at 1 and
+/// 4 workers) and prediction throughput. LMS is the paper's cited
+/// estimator [24]; this quantifies what its robustness costs. Emits
+/// BENCH_perf_regression.json for the CI perf gate.
 
 #include <cstdio>
 #include <string>
@@ -74,10 +75,8 @@ void bench_fit_lms(Session& session, std::size_t n, int fits_per_rep) {
 /// models' LQS quantile. Unlike the dense random `fit_lms/n=*` data,
 /// these rows hold most resources at exact idle values, so many
 /// elemental subsets are singular.
-void bench_fit_lms_table2(Session& session) {
-  model::TrainerConfig tc;
-  tc.vm_counts = {1};
-  const model::TrainingSet data = model::Trainer(tc).collect();
+void bench_fit_lms_table2(Session& session, const model::TrainingSet& table2) {
+  const model::TrainingSet data = table2.with_vm_count(1);
   const util::Matrix x = data.design();
   const std::vector<double> y = data.response(model::MetricIndex::kCpu);
   session.bench("fit_lms/table2", BenchOptions{1, 9}, [&]() {
@@ -86,6 +85,34 @@ void bench_fit_lms_table2(Session& session) {
         model::fit_lms(x, y, rng, model::model_fit_config());
     return RepResult{0.0, fit_checksum(fit)};
   });
+}
+
+double models_checksum(const model::TrainedModels& m) {
+  double sum = fit_checksum(m.multi.dom0_overhead_fit()) +
+               fit_checksum(m.multi.hyp_overhead_fit()) +
+               fit_checksum(m.single.dom0_cpu_fit()) +
+               fit_checksum(m.single.hyp_cpu_fit());
+  for (std::size_t i = 0; i < model::kMetricCount; ++i) {
+    const auto metric = static_cast<model::MetricIndex>(i);
+    sum += fit_checksum(m.single.fit_for(metric)) +
+           fit_checksum(m.multi.overhead_for(metric));
+  }
+  return sum;
+}
+
+/// The trainer's whole fit step: Trainer::fit_models' twelve LMS
+/// regressions (two waves of six) over the Table II rows, on a pool of
+/// `jobs` workers. Returns the checksum, which must not depend on jobs.
+double bench_fit_models_table2(Session& session,
+                               const model::TrainingSet& table2, int jobs) {
+  double checksum = 0.0;
+  session.bench("fit_models/table2/jobs=" + std::to_string(jobs),
+                BenchOptions{1, 9}, [&]() {
+                  checksum = models_checksum(model::Trainer::fit_models(
+                      table2, RegressionMethod::kLms, 42, jobs));
+                  return RepResult{0.0, checksum};
+                });
+  return checksum;
 }
 
 void bench_single_vm_model_fit(Session& session) {
@@ -152,11 +179,28 @@ int main(int argc, char** argv) {
   bench_fit_lms(session, 64, 40);
   bench_fit_lms(session, 1024, 8);
   bench_fit_lms(session, 16384, 1);
-  bench_fit_lms_table2(session);
+  // The Table II rows (1, 2 and 4 VMs, 120 s cells), collected once,
+  // outside every timed body.
+  model::TrainerConfig tc;
+  tc.jobs = 0;
+  const model::TrainingSet table2 = model::Trainer(tc).collect();
+  bench_fit_lms_table2(session, table2);
+  const double serial = bench_fit_models_table2(session, table2, 1);
+  const double parallel = bench_fit_models_table2(session, table2, 4);
+  int rc = 0;
+  if (serial != parallel) {
+    std::fprintf(stderr,
+                 "bench_perf_regression: fit_models checksum %.17g at "
+                 "jobs=1 but %.17g at jobs=4\n",
+                 serial, parallel);
+    rc = 1;
+  }
   bench_single_vm_model_fit(session);
   bench_predict(session);
-  session.write_file();
-  std::printf("wrote %s (%zu benchmarks)\n", session.output_path().c_str(),
-              session.measurements().size());
-  return 0;
+  rc = voprof::bench::harness::finish(rc);
+  if (rc == 0) {
+    std::printf("wrote %s (%zu benchmarks)\n", session.output_path().c_str(),
+                session.measurements().size());
+  }
+  return rc;
 }

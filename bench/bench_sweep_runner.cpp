@@ -53,10 +53,10 @@ int main(int argc, char** argv) {
     if (const util::Result<bool> saved = csv.save(out_path); !saved.ok()) {
       std::cerr << "bench_sweep_runner: " << saved.error().to_string()
                 << '\n';
-      return 1;
+      return harness::finish(1);
     }
     std::cout << "wrote " << csv.row_count() << " rows to " << out_path
               << '\n';
   }
-  return 0;
+  return harness::finish();
 }

@@ -92,5 +92,5 @@ int main(int argc, char** argv) {
   }
   std::cout << "  paper's 16.8% Dom0 baseline includes the running "
                "script.\n";
-  return 0;
+  return voprof::bench::harness::finish();
 }

@@ -101,5 +101,5 @@ int main(int argc, char** argv) {
         "Sec. III-C: memory runs left all other metrics constant)\n",
         r[3].vm.cpu_pct, r[3].vm.io_blocks_per_s, r[3].vm.bw_kbps);
   }
-  return 0;
+  return voprof::bench::harness::finish();
 }

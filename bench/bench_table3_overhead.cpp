@@ -132,5 +132,5 @@ int main(int argc, char** argv) {
       mem_cell.dom0.cpu_pct, mem_cell.hyp.cpu_pct,
       mem_cell.pm.io_blocks_per_s,
       util::kbps_to_bytes_per_s(mem_cell.pm.bw_kbps));
-  return 0;
+  return voprof::bench::harness::finish();
 }

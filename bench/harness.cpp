@@ -11,6 +11,7 @@
 
 #include "voprof/obs/trace.hpp"
 #include "voprof/util/assert.hpp"
+#include "voprof/util/result.hpp"
 
 #if defined(__GLIBC__)
 #include <errno.h>  // program_invocation_short_name
@@ -117,7 +118,7 @@ Session::Session(std::string binary_name)
     : binary_name_(std::move(binary_name)), env_(capture_env()) {}
 
 Session::~Session() {
-  if (auto_write_ && dirty_) write_file();
+  if (auto_write_) (void)write_file();
 }
 
 void Session::bench(const std::string& name, BenchOptions opt,
@@ -208,16 +209,34 @@ std::string Session::output_path() const {
   return path + "BENCH_" + stem + ".json";
 }
 
-void Session::write_file() {
-  if (json_disabled()) return;
+bool Session::write_file() {
+  if (!dirty_ || json_disabled()) return true;
+  dirty_ = false;
   const std::string path = output_path();
   std::ofstream out(path);
+  if (out) {
+    out << to_json().dump(2) << '\n';
+    out.close();
+  }
   if (!out) {
     std::fprintf(stderr, "harness: cannot write %s\n", path.c_str());
-    return;
+    return false;
   }
-  out << to_json().dump(2) << '\n';
-  dirty_ = false;
+  return true;
+}
+
+int finish(int rc) {
+  bool ok = Session::global().write_file();
+  obs::TraceCollector& trace = obs::TraceCollector::global();
+  if (trace.enabled()) {
+    const util::Result<bool> written = trace.write_file();
+    if (!written.ok()) {
+      std::fprintf(stderr, "voprof trace: %s\n",
+                   written.error().to_string().c_str());
+      ok = false;
+    }
+  }
+  return ok || rc != 0 ? rc : 1;
 }
 
 tools::CommandLine command_line(const char* argv0,

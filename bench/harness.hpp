@@ -119,9 +119,11 @@ class Session {
   /// $VOPROF_BENCH_DIR/BENCH_<stem>.json (default directory ".").
   [[nodiscard]] std::string output_path() const;
 
-  /// Serialize now. Respects VOPROF_BENCH_JSON=0. Idempotent per
-  /// session unless more measurements arrive in between.
-  void write_file();
+  /// Serialize the measurements recorded since the last write, if any.
+  /// Respects VOPROF_BENCH_JSON=0. One attempt per batch: returns false,
+  /// after one "harness: cannot write" line on stderr, when the file
+  /// cannot be written, and the destructor does not retry it.
+  [[nodiscard]] bool write_file();
 
   /// The destructor writes the file when measurements were recorded
   /// and no explicit write happened; benches that must not touch the
@@ -146,6 +148,13 @@ class Session {
 [[nodiscard]] tools::CommandLine command_line(
     const char* argv0, const std::string& synopsis = "",
     std::vector<util::FlagSpec> flags = {});
+
+/// End a bench run: write Session::global()'s BENCH record and flush
+/// the trace the command line enabled (TraceCollector::write_file()).
+/// Returns `rc`, or 1 when `rc` is 0 and either write failed. Every
+/// bench main returns through it: a static destructor, the flush of
+/// last resort, cannot change the exit code.
+[[nodiscard]] int finish(int rc = 0);
 
 /// The command line of a bench with no flags of its own: --help exits
 /// 0, anything but --trace-out FILE exits 2, and --trace-out or

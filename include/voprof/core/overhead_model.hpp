@@ -18,6 +18,10 @@
 #include "voprof/core/utilvec.hpp"
 #include "voprof/util/matrix.hpp"
 
+namespace voprof::util {
+class TaskPool;
+}  // namespace voprof::util
+
 namespace voprof::model {
 
 /// One observation: the summed VM utilizations on a PM, how many VMs
@@ -66,7 +70,16 @@ class SingleVmModel {
  public:
   SingleVmModel() = default;
 
-  /// Fit the 4x5 coefficient matrix from single-VM observations.
+  /// Fit the 4x5 coefficient matrix from single-VM observations: six
+  /// independent regressions against one shared design, one per PM
+  /// metric (seed + i) plus Dom0 (seed + 8) and hypervisor CPU
+  /// (seed + 9). `pool` runs the six at once; each keeps its fixed
+  /// seed and lands at its own index, so the model is the same at
+  /// any pool size. The overload without a pool fits them serially.
+  [[nodiscard]] static SingleVmModel fit(const TrainingSet& data,
+                                         RegressionMethod method,
+                                         std::uint64_t seed,
+                                         util::TaskPool& pool);
   [[nodiscard]] static SingleVmModel fit(const TrainingSet& data,
                                          RegressionMethod method,
                                          std::uint64_t seed = 1234);
@@ -107,6 +120,15 @@ class MultiVmModel {
   /// Fit: `a` from the single-VM subset, then `o` from the multi-VM
   /// subset via the alpha(N)-scaled residual regression
   ///   pm - a(sum M) = alpha(N) * o(sum M).
+  /// Two waves of six fits on `pool`: the base model's (see
+  /// SingleVmModel::fit), then, since they need its residuals, the six
+  /// overhead fits with seeds seed + 100 + i, seed + 108 and
+  /// seed + 109. The result does not depend on the pool size; the
+  /// overload without a pool fits serially.
+  [[nodiscard]] static MultiVmModel fit(const TrainingSet& data,
+                                        RegressionMethod method,
+                                        std::uint64_t seed,
+                                        util::TaskPool& pool);
   [[nodiscard]] static MultiVmModel fit(const TrainingSet& data,
                                         RegressionMethod method,
                                         std::uint64_t seed = 1234);

@@ -29,10 +29,11 @@ struct TrainerConfig {
   /// Measurement duration per cell (paper: 2 minutes).
   util::SimMicros duration = util::seconds(120.0);
   std::uint64_t seed = 42;
-  /// Worker threads for collect(): 1 = serial (historical path), 0 =
-  /// all hardware threads. Cells are independent simulations with
-  /// coordinate-derived seeds, so the collected set — and therefore
-  /// the fitted models — are identical for every jobs value.
+  /// Worker threads for collect() and for the fits of train(): 1 =
+  /// serial (historical path, no threads), 0 = all hardware threads.
+  /// Cells are independent simulations with coordinate-derived seeds
+  /// and each fit has its own fixed seed, so the collected set and the
+  /// fitted models are identical for every jobs value.
   int jobs = 1;
   sim::MachineSpec machine;
   sim::VmSpec vm;
@@ -58,14 +59,19 @@ class Trainer {
   /// Run the full sweep (kinds x 5 levels x vm_counts).
   [[nodiscard]] TrainingSet collect() const;
 
-  /// collect() + fit both models.
+  /// collect() + fit_models() at config().jobs.
   [[nodiscard]] TrainedModels train(
       RegressionMethod method = RegressionMethod::kOls) const;
 
-  /// Fit both models from an existing data set (e.g. reloaded traces).
+  /// Fit both models from an existing data set (e.g. reloaded traces):
+  /// the twelve regressions of MultiVmModel::fit, as two waves of six
+  /// on one TaskPool of `jobs` workers (0 = TaskPool::default_jobs(),
+  /// 1 = serial with no threads). The models are byte-identical at
+  /// any `jobs`; a fit that fails on a worker rethrows here.
   [[nodiscard]] static TrainedModels fit_models(TrainingSet data,
                                                 RegressionMethod method,
-                                                std::uint64_t seed = 1234);
+                                                std::uint64_t seed = 1234,
+                                                int jobs = 0);
 
   [[nodiscard]] const TrainerConfig& config() const noexcept {
     return config_;

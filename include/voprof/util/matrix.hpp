@@ -70,9 +70,11 @@ class Matrix {
 
 /// Least-squares solve of the (possibly tall) system A x ~= b via
 /// Householder QR: minimizes ||A x - b||_2. Requires rows >= cols and
-/// full column rank.
+/// full column rank. The QR factorization overwrites `a`, which is
+/// taken by value: a caller done with its matrix moves it in and the
+/// solve makes no copy of it.
 [[nodiscard]] std::vector<double> solve_least_squares(
-    const Matrix& a, std::span<const double> b);
+    Matrix a, std::span<const double> b);
 
 /// Dot product; sizes must match.
 [[nodiscard]] double dot(std::span<const double> a, std::span<const double> b);

@@ -71,6 +71,8 @@ class TaskPool {
   /// Evaluate fn(i) for every i in [0, n). Blocks until all tasks
   /// finished; rethrows the exception of the lowest failing index
   /// (deterministic choice — later tasks still run to completion).
+  /// Every task has finished before anything is rethrown, so `fn` may
+  /// refer to the caller's locals.
   template <typename Fn>
   void parallel_for_each(std::size_t n, Fn&& fn) {
     std::vector<std::future<void>> futures;
@@ -78,12 +80,14 @@ class TaskPool {
     for (std::size_t i = 0; i < n; ++i) {
       futures.push_back(submit([&fn, i]() { fn(i); }));
     }
+    for (auto& f : futures) f.wait();
     for (auto& f : futures) f.get();
   }
 
   /// parallel_for_each that collects fn(i) into a vector ordered by
   /// task index — the ordering (and thus any downstream aggregation
-  /// or CSV row order) never depends on scheduling.
+  /// or CSV row order) never depends on scheduling. Like
+  /// parallel_for_each, it rethrows only after every task finished.
   template <typename Fn>
   [[nodiscard]] auto parallel_map(std::size_t n, Fn&& fn)
       -> std::vector<std::invoke_result_t<Fn&, std::size_t>> {
@@ -93,6 +97,7 @@ class TaskPool {
     for (std::size_t i = 0; i < n; ++i) {
       futures.push_back(submit([&fn, i]() { return fn(i); }));
     }
+    for (auto& f : futures) f.wait();
     std::vector<R> out;
     out.reserve(n);
     for (auto& f : futures) out.push_back(f.get());

@@ -1,8 +1,10 @@
 #include "voprof/core/overhead_model.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "voprof/util/assert.hpp"
+#include "voprof/util/task_pool.hpp"
 
 namespace voprof::model {
 
@@ -76,23 +78,59 @@ std::vector<double> TrainingSet::response_hyp_cpu() const {
   return y;
 }
 
+// ------------------------------------------------------------- fit waves
+namespace {
+
+/// Each model is one wave of six regressions against one shared design:
+/// the four PM metrics in MetricIndex order, then Dom0 CPU, then
+/// hypervisor CPU.
+constexpr std::size_t kWaveFits = kMetricCount + 2;
+
+/// A wave's responses, in the order above.
+using WaveResponses = std::array<std::vector<double>, kWaveFits>;
+
+/// Seed of each fit of a wave, relative to the wave's first seed.
+constexpr std::array<std::uint64_t, kWaveFits> kWaveSeedOffset = {0, 1, 2, 3,
+                                                                  8, 9};
+
+/// Run the six fits of a wave on `pool`. Each fit draws only from its
+/// own fixed seed and its result is placed by index, so the wave is the
+/// same at any pool size.
+std::vector<LinearFit> fit_wave(util::TaskPool& pool, RegressionMethod method,
+                                const util::Matrix& x,
+                                const WaveResponses& responses,
+                                std::uint64_t first_seed) {
+  return pool.parallel_map(kWaveFits, [&](std::size_t i) {
+    return model::fit(method, x, responses[i], first_seed + kWaveSeedOffset[i],
+                      model_fit_config());
+  });
+}
+
+}  // namespace
+
 // --------------------------------------------------------- SingleVmModel
 SingleVmModel SingleVmModel::fit(const TrainingSet& data,
                                  RegressionMethod method,
                                  std::uint64_t seed) {
+  util::TaskPool serial(1);
+  return fit(data, method, seed, serial);
+}
+
+SingleVmModel SingleVmModel::fit(const TrainingSet& data,
+                                 RegressionMethod method, std::uint64_t seed,
+                                 util::TaskPool& pool) {
   VOPROF_REQUIRE_MSG(data.size() >= 2 * (kMetricCount + 1),
                      "too few observations to fit the single-VM model");
-  const util::Matrix x = data.design();
+  const WaveResponses responses = {
+      data.response(MetricIndex::kCpu), data.response(MetricIndex::kMem),
+      data.response(MetricIndex::kIo),  data.response(MetricIndex::kBw),
+      data.response_dom0_cpu(),         data.response_hyp_cpu()};
+  std::vector<LinearFit> fits =
+      fit_wave(pool, method, data.design(), responses, seed);
   SingleVmModel m;
-  for (std::size_t i = 0; i < kMetricCount; ++i) {
-    const auto metric = static_cast<MetricIndex>(i);
-    m.fits_[i] = model::fit(method, x, data.response(metric), seed + i,
-                            model_fit_config());
-  }
-  m.dom0_cpu_fit_ = model::fit(method, x, data.response_dom0_cpu(),
-                              seed + 8, model_fit_config());
-  m.hyp_cpu_fit_ = model::fit(method, x, data.response_hyp_cpu(),
-                             seed + 9, model_fit_config());
+  std::move(fits.begin(), fits.begin() + kMetricCount, m.fits_.begin());
+  m.dom0_cpu_fit_ = std::move(fits[kMetricCount]);
+  m.hyp_cpu_fit_ = std::move(fits[kMetricCount + 1]);
   m.trained_ = true;
   return m;
 }
@@ -163,9 +201,15 @@ util::Matrix SingleVmModel::coefficient_matrix() const {
 // ---------------------------------------------------------- MultiVmModel
 MultiVmModel MultiVmModel::fit(const TrainingSet& data,
                                RegressionMethod method, std::uint64_t seed) {
+  util::TaskPool serial(1);
+  return fit(data, method, seed, serial);
+}
+
+MultiVmModel MultiVmModel::fit(const TrainingSet& data,
+                               RegressionMethod method, std::uint64_t seed,
+                               util::TaskPool& pool) {
   MultiVmModel m;
-  const TrainingSet single = data.with_vm_count(1);
-  m.base_ = SingleVmModel::fit(single, method, seed);
+  m.base_ = SingleVmModel::fit(data.with_vm_count(1), method, seed, pool);
 
   const TrainingSet multi = data.with_vm_count_at_least(2);
   VOPROF_REQUIRE_MSG(multi.size() >= 2 * (kMetricCount + 1),
@@ -179,32 +223,26 @@ MultiVmModel MultiVmModel::fit(const TrainingSet& data,
   //   (pm - a(sum M)) / alpha = o_0 + sum_j o_j * x_j   when x is
   // unchanged -- valid because o is applied to the *same* sum M.
   const std::size_t n = multi.size();
-  util::Matrix x(n, kMetricCount);
-  std::array<std::vector<double>, kMetricCount> resp;
+  WaveResponses resp;
   for (auto& v : resp) v.resize(n);
-  std::vector<double> dom0_resp(n), hyp_resp(n);
   for (std::size_t r = 0; r < n; ++r) {
     const TrainingRow& row = multi.rows()[r];
     const double al = alpha(row.n_vms);
     VOPROF_ASSERT(al >= 1.0);
-    const auto xa = row.vm_sum.to_array();
-    for (std::size_t c = 0; c < kMetricCount; ++c) x(r, c) = xa[c];
     const UtilVec base_pred = m.base_.predict(row.vm_sum);
     const UtilVec resid = row.pm - base_pred;
     const auto ra = resid.to_array();
     for (std::size_t c = 0; c < kMetricCount; ++c) resp[c][r] = ra[c] / al;
-    dom0_resp[r] =
+    resp[kMetricCount][r] =
         (row.dom0_cpu - m.base_.predict_dom0_cpu(row.vm_sum)) / al;
-    hyp_resp[r] = (row.hyp_cpu - m.base_.predict_hyp_cpu(row.vm_sum)) / al;
+    resp[kMetricCount + 1][r] =
+        (row.hyp_cpu - m.base_.predict_hyp_cpu(row.vm_sum)) / al;
   }
-  for (std::size_t i = 0; i < kMetricCount; ++i) {
-    m.overhead_[i] = model::fit(method, x, resp[i], seed + 100 + i,
-                                model_fit_config());
-  }
-  m.dom0_overhead_ = model::fit(method, x, dom0_resp, seed + 108,
-                               model_fit_config());
-  m.hyp_overhead_ = model::fit(method, x, hyp_resp, seed + 109,
-                              model_fit_config());
+  std::vector<LinearFit> fits =
+      fit_wave(pool, method, multi.design(), resp, seed + 100);
+  std::move(fits.begin(), fits.begin() + kMetricCount, m.overhead_.begin());
+  m.dom0_overhead_ = std::move(fits[kMetricCount]);
+  m.hyp_overhead_ = std::move(fits[kMetricCount + 1]);
   m.trained_ = true;
   return m;
 }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "voprof/core/invariants.hpp"
 #include "voprof/obs/metrics.hpp"
@@ -67,9 +68,8 @@ LinearFit fit_ols(const util::Matrix& x, std::span<const double> y) {
   VOPROF_REQUIRE(x.rows() == y.size());
   VOPROF_REQUIRE_MSG(x.rows() >= x.cols() + 1,
                      "not enough observations for OLS");
-  const util::Matrix d = with_intercept(x);
   LinearFit f;
-  f.coef = util::solve_least_squares(d, y);
+  f.coef = util::solve_least_squares(with_intercept(x), y);
   finalize_fit(f, x, y);
   return f;
 }
@@ -78,17 +78,18 @@ LinearFit fit_wls(const util::Matrix& x, std::span<const double> y,
                   std::span<const double> w) {
   VOPROF_REQUIRE(x.rows() == y.size());
   VOPROF_REQUIRE(x.rows() == w.size());
-  const util::Matrix d = with_intercept(x);
-  util::Matrix dw(d.rows(), d.cols());
+  // The weighted design [sqrt(w), sqrt(w) * x], built from x directly.
+  util::Matrix dw(x.rows(), x.cols() + 1);
   std::vector<double> yw(y.size());
-  for (std::size_t r = 0; r < d.rows(); ++r) {
+  for (std::size_t r = 0; r < x.rows(); ++r) {
     VOPROF_REQUIRE_MSG(w[r] >= 0.0, "negative weight in fit_wls");
     const double sw = std::sqrt(w[r]);
-    for (std::size_t c = 0; c < d.cols(); ++c) dw(r, c) = d(r, c) * sw;
+    dw(r, 0) = sw;
+    for (std::size_t c = 0; c < x.cols(); ++c) dw(r, c + 1) = x(r, c) * sw;
     yw[r] = y[r] * sw;
   }
   LinearFit f;
-  f.coef = util::solve_least_squares(dw, yw);
+  f.coef = util::solve_least_squares(std::move(dw), yw);
   finalize_fit(f, x, y);
   return f;
 }
@@ -109,7 +110,8 @@ LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
   VOPROF_REQUIRE(config.subsets > 0);
   VOPROF_REQUIRE(config.quantile >= 0.5 && config.quantile <= 1.0);
 
-  const util::Matrix d = with_intercept(x);
+  // The intercept column is implicit: every row below reads x directly
+  // and adds 1.0 * coef[0] first, the order a [1, x] design row gives.
   // Objective: this percentile of the squared residuals over the full
   // data set (50 = classic LMS; higher = Least Quantile of Squares).
   const double q = config.quantile * 100.0;
@@ -152,7 +154,9 @@ LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
     }
     // Solve the elemental p x p system exactly; skip singular draws.
     for (std::size_t r = 0; r < p; ++r) {
-      for (std::size_t c = 0; c < p; ++c) a(r, c) = d(idx[r], c);
+      const std::span<const double> row = x.row(idx[r]);
+      a(r, 0) = 1.0;
+      for (std::size_t c = 1; c < p; ++c) a(r, c) = row[c - 1];
       cand_coef[r] = y[idx[r]];
     }
     if (!util::solve_linear_in_place(a, cand_coef)) {
@@ -162,9 +166,10 @@ LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
     std::size_t exceed = 0;
     std::size_t r = 0;
     for (; r < n; ++r) {
-      const std::span<const double> row = d.row(r);
+      const std::span<const double> row = x.row(r);
       double pred = 0.0;
-      for (std::size_t c = 0; c < p; ++c) pred += row[c] * cand_coef[c];
+      pred += 1.0 * cand_coef[0];
+      for (std::size_t c = 1; c < p; ++c) pred += row[c - 1] * cand_coef[c];
       const double res = y[r] - pred;
       sq[r] = res * res;
       if (sq[r] > best_median && ++exceed > abandon_after) break;
@@ -195,8 +200,10 @@ LinearFit fit_lms(const util::Matrix& x, std::span<const double> y,
   std::vector<double> w(n, 0.0);
   std::size_t inliers = 0;
   for (std::size_t r = 0; r < n; ++r) {
+    const std::span<const double> row = x.row(r);
     double pred = 0.0;
-    for (std::size_t c = 0; c < p; ++c) pred += d(r, c) * best_coef[c];
+    pred += 1.0 * best_coef[0];
+    for (std::size_t c = 1; c < p; ++c) pred += row[c - 1] * best_coef[c];
     if (std::abs(y[r] - pred) <= cutoff) {
       w[r] = 1.0;
       ++inliers;

@@ -123,14 +123,15 @@ TrainingSet Trainer::collect() const {
 
 TrainedModels Trainer::train(RegressionMethod method) const {
   VOPROF_WALL_SPAN("trainer", "train");
-  return fit_models(collect(), method, config_.seed);
+  return fit_models(collect(), method, config_.seed, config_.jobs);
 }
 
 TrainedModels Trainer::fit_models(TrainingSet data, RegressionMethod method,
-                                  std::uint64_t seed) {
+                                  std::uint64_t seed, int jobs) {
   VOPROF_WALL_SPAN("trainer", "fit_models");
+  util::TaskPool pool(jobs <= 0 ? 0 : static_cast<std::size_t>(jobs));
   TrainedModels out;
-  out.multi = MultiVmModel::fit(data, method, seed);
+  out.multi = MultiVmModel::fit(data, method, seed, pool);
   // Eq. (3)'s base is the single-VM model, fitted on the same rows with
   // the same seed: reuse it rather than fit it twice.
   out.single = out.multi.base();

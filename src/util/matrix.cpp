@@ -156,15 +156,15 @@ std::vector<double> solve_linear(Matrix a, std::vector<double> b) {
   return b;
 }
 
-std::vector<double> solve_least_squares(const Matrix& a,
-                                        std::span<const double> b) {
+std::vector<double> solve_least_squares(Matrix a, std::span<const double> b) {
   const std::size_t m = a.rows();
   const std::size_t n = a.cols();
   VOPROF_REQUIRE_MSG(m >= n, "least squares needs rows >= cols");
   VOPROF_REQUIRE(b.size() == m);
 
-  // Householder QR on a working copy; b transformed in place.
-  Matrix r = a;
+  // Householder QR in place on `a`, which the caller moved in or the
+  // call copied; b transformed on a copy.
+  Matrix& r = a;
   std::vector<double> y(b.begin(), b.end());
   for (std::size_t k = 0; k < n; ++k) {
     // Build the Householder vector for column k.

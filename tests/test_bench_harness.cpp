@@ -111,7 +111,7 @@ TEST(Harness, WritesParsableFileToBenchDir) {
   {
     Session session("bench_filecheck");
     session.bench("w", BenchOptions{0, 2}, [] { return seeded_rep(1); });
-    session.write_file();
+    EXPECT_TRUE(session.write_file());
     EXPECT_EQ(session.output_path(), dir + "/BENCH_filecheck.json");
   }
   std::ifstream in(dir + "/BENCH_filecheck.json");

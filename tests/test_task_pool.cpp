@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace voprof::util {
@@ -87,6 +89,26 @@ TEST(TaskPool, ParallelMapStillCompletesAfterThrow) {
   const std::vector<int> out =
       pool.parallel_map(8, [](std::size_t i) { return static_cast<int>(i); });
   EXPECT_EQ(std::accumulate(out.begin(), out.end(), 0), 28);
+}
+
+TEST(TaskPool, RethrowsOnlyAfterEveryTaskFinished) {
+  // Task 0 fails at once while the others still run. The callers'
+  // lambdas refer to their frames, so nothing may be rethrown (and the
+  // frame unwound) before the last task is done.
+  TaskPool pool(4);
+  std::atomic<int> finished{0};
+  const auto task = [&finished](std::size_t i) -> int {
+    if (i == 0) throw std::logic_error("first");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    finished.fetch_add(1);
+    return 0;
+  };
+  EXPECT_THROW((void)pool.parallel_map(8, task), std::logic_error);
+  EXPECT_EQ(finished.load(), 7);
+  finished = 0;
+  EXPECT_THROW(pool.parallel_for_each(8, [&task](std::size_t i) { task(i); }),
+               std::logic_error);
+  EXPECT_EQ(finished.load(), 7);
 }
 
 TEST(TaskPool, ManyMoreTasksThanWorkers) {

@@ -5,7 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "voprof/core/predictor.hpp"
+#include "voprof/core/serialize.hpp"
 #include "voprof/core/trainer.hpp"
 #include "voprof/monitor/script.hpp"
 #include "voprof/util/assert.hpp"
@@ -55,6 +60,60 @@ TEST(Trainer, RejectsBadConfig) {
   TrainerConfig c2;
   c2.kinds.clear();
   EXPECT_THROW(Trainer{c2}, util::ContractViolation);
+}
+
+/// The models file of a short Table II training (10 s cells, seed 42,
+/// LMS), written by the serial fit before the fits ran on a TaskPool
+/// and before they stopped copying the design matrix.
+std::string golden_models() {
+  std::ifstream in(VOPROF_SOURCE_DIR
+                   "/tests/data/models_table2_10s_seed42_lms.txt");
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(Trainer, FitModelsIsJobsInvariant) {
+  TrainerConfig c;
+  c.duration = util::seconds(10.0);
+  c.seed = 42;
+  const TrainingSet data = Trainer(c).collect();
+  const std::string golden = golden_models();
+  ASSERT_FALSE(golden.empty());
+  for (const int jobs : {1, 2, 4}) {
+    SCOPED_TRACE(jobs);
+    EXPECT_EQ(models_to_string(Trainer::fit_models(
+                  data, RegressionMethod::kLms, c.seed, jobs)),
+              golden);
+  }
+  // train() fits at config().jobs.
+  c.jobs = 4;
+  EXPECT_EQ(models_to_string(Trainer(c).train(RegressionMethod::kLms)),
+            golden);
+}
+
+TEST(Trainer, FitFailingOnAWorkerStillThrows) {
+  // Every row has the same VM sum, so every elemental subset of every
+  // LMS fit is singular: all six fits of the first wave fail, on the
+  // pool's workers when jobs > 1.
+  TrainingSet data;
+  for (const int n : {1, 2}) {
+    for (int i = 0; i < 20; ++i) {
+      TrainingRow row;
+      row.n_vms = n;
+      row.vm_sum = UtilVec{50, 100, 10, 0};
+      row.pm = UtilVec{70, 900, 30, 2};
+      row.dom0_cpu = 17.0;
+      row.hyp_cpu = 3.0;
+      data.add(row);
+    }
+  }
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE(jobs);
+    EXPECT_THROW(
+        (void)Trainer::fit_models(data, RegressionMethod::kLms, 7, jobs),
+        util::ContractViolation);
+  }
 }
 
 class TrainedPipeline : public ::testing::Test {
