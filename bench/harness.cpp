@@ -21,11 +21,6 @@ namespace voprof::bench::harness {
 
 namespace {
 
-bool json_disabled() {
-  const char* raw = std::getenv("VOPROF_BENCH_JSON");
-  return raw != nullptr && std::string(raw) == "0";
-}
-
 double now_wall_s() {
   using clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(clock::now().time_since_epoch())
@@ -117,10 +112,6 @@ EnvInfo capture_env() {
 Session::Session(std::string binary_name)
     : binary_name_(std::move(binary_name)), env_(capture_env()) {}
 
-Session::~Session() {
-  if (auto_write_) (void)write_file();
-}
-
 void Session::bench(const std::string& name, BenchOptions opt,
                     const std::function<RepResult()>& body) {
   for (int i = 0; i < opt.warmup; ++i) (void)body();
@@ -210,7 +201,7 @@ std::string Session::output_path() const {
 }
 
 bool Session::write_file() {
-  if (!dirty_ || json_disabled()) return true;
+  if (!dirty_) return true;
   dirty_ = false;
   const std::string path = output_path();
   std::ofstream out(path);

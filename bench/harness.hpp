@@ -7,15 +7,11 @@
 /// runs, N timed repetitions, median/p10/p90 wall-time statistics and
 /// sim-seconds-per-wall-second throughput — while the figure/table
 /// reproductions record their sweeps as one-shot sections via
-/// bench/common.hpp. On exit the session serializes everything,
-/// including a capture of the build/runtime environment, to
-/// BENCH_<name>.json (util::Json, schema "voprof-bench-1") so the perf
-/// trajectory can be diffed across commits with `voprofctl bench-diff`
-/// and gated in CI.
-///
-/// Environment knobs:
-///   VOPROF_BENCH_DIR     output directory (default: current directory)
-///   VOPROF_BENCH_JSON=0  disable the JSON emission entirely
+/// bench/common.hpp. finish() serializes everything, including a
+/// capture of the build/runtime environment, to
+/// $VOPROF_BENCH_DIR/BENCH_<name>.json (default directory ".";
+/// util::Json, schema "voprof-bench-1") so the perf trajectory can be
+/// diffed across commits with `voprofctl bench-diff` and gated in CI.
 
 #include <cstdint>
 #include <functional>
@@ -90,7 +86,6 @@ class Session {
   /// \param binary_name  the executable's name; a leading "bench_" is
   ///        stripped for the output file name.
   explicit Session(std::string binary_name);
-  ~Session();
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -120,15 +115,9 @@ class Session {
   [[nodiscard]] std::string output_path() const;
 
   /// Serialize the measurements recorded since the last write, if any.
-  /// Respects VOPROF_BENCH_JSON=0. One attempt per batch: returns false,
-  /// after one "harness: cannot write" line on stderr, when the file
-  /// cannot be written, and the destructor does not retry it.
+  /// One attempt per batch: returns false, after one "harness: cannot
+  /// write" line on stderr, when the file cannot be written.
   [[nodiscard]] bool write_file();
-
-  /// The destructor writes the file when measurements were recorded
-  /// and no explicit write happened; benches that must not touch the
-  /// filesystem can turn this off.
-  void set_auto_write(bool enabled) noexcept { auto_write_ = enabled; }
 
   /// Process-wide session named after the running executable. All of
   /// bench/common.hpp records here.
@@ -139,7 +128,6 @@ class Session {
   EnvInfo env_;
   std::vector<Measurement> measurements_;
   int section_counter_ = 0;
-  bool auto_write_ = true;
   bool dirty_ = false;
 };
 

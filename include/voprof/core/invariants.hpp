@@ -12,17 +12,12 @@
 ///     counters monotone and finite, per-PM CPU accounting conserved
 ///     across Dom0 / guest domains / hypervisor, memory gauges sane,
 ///   - validation hooks the trainers and regression back-ends call on
-///     their rows and fitted coefficients.
-///
-/// The *implicit* hooks (trainer rows, regression outputs) are gated by
-/// invariants_enabled(): compiled in by default in Debug and sanitizer
-/// builds (CMake option VOPROF_CHECK_INVARIANTS), overridable at run
-/// time through set_invariants_enabled() or the VOPROF_CHECK_INVARIANTS
-/// environment variable (=0/1). An explicitly constructed
-/// InvariantAuditor always checks, whatever the toggle says.
+///     every row they collect and every coefficient they fit, in every
+///     build.
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "voprof/util/assert.hpp"
@@ -47,19 +42,12 @@ class InvariantViolation : public util::ContractViolation {
       : util::ContractViolation(what_arg) {}
 };
 
-/// Whether the implicit pipeline hooks (trainer / regression) check.
-/// Default: the VOPROF_CHECK_INVARIANTS compile definition, overridden
-/// by the VOPROF_CHECK_INVARIANTS environment variable if set.
-[[nodiscard]] bool invariants_enabled() noexcept;
-/// Force the toggle at run time (tests, tools).
-void set_invariants_enabled(bool enabled) noexcept;
-
 /// [[noreturn]] helper: raise an InvariantViolation with context.
 [[noreturn]] void invariant_failure(const std::string& what,
                                     const std::string& detail);
 
 /// `value` must be finite (no NaN / infinity).
-void check_finite(double value, const std::string& what);
+void check_finite(double value, std::string_view what);
 /// `value` must be a utilization fraction in [0, 1] (with tolerance
 /// `tol` for floating-point accumulation).
 void check_unit_interval(double value, const std::string& what,
@@ -82,8 +70,8 @@ void check_counters_step(const sim::DomainCounters& prev,
 /// residual RMS finite and non-negative, R^2 finite and <= 1.
 void check_fit(const LinearFit& fit, const std::string& what);
 
-/// Validate one training observation: all metrics finite, CPU and
-/// memory non-negative, at least one VM.
+/// Validate one training observation: every metric finite and
+/// non-negative, at least one VM.
 void check_training_row(const TrainingRow& row);
 
 /// Tick-loop auditor for a whole cluster. Construct it after the

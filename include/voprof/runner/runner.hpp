@@ -104,17 +104,16 @@ struct MicroSweepConfig {
   std::size_t levels = wl::kLevelCount;
   util::SimMicros duration = util::seconds(30.0);
   std::uint64_t base_seed = 42;
-  /// Append a final row (kind = -1) merging every cell's streaming
-  /// stats via RunningStats::merge in cell order.
-  bool summary_row = true;
   sim::MachineSpec machine;
   sim::VmSpec vm;
   sim::CostModel costs;
 };
 
 /// Run the sweep and return one CSV row per cell with the mean (and
-/// selected stddev) utilizations over the cell's 1 s samples. The
-/// document is byte-identical for every RunOptions::jobs value.
+/// selected stddev) utilizations over the cell's 1 s samples, then a
+/// summary row (kind = -1) merging every cell's streaming stats via
+/// RunningStats::merge in cell order. The document is byte-identical
+/// for every RunOptions::jobs value.
 [[nodiscard]] util::CsvDocument run_micro_sweep(const MicroSweepConfig& config,
                                                 const RunOptions& opts);
 

@@ -44,7 +44,6 @@ struct DaemonConfig {
   /// When non-empty, write a JSON snapshot of the obs metrics registry
   /// here during shutdown (the daemon's "final flush").
   std::string metrics_out;
-  int listen_backlog = 16;
   /// Reject a request line that exceeds this many bytes.
   std::size_t max_line_bytes = 1 << 20;
 };

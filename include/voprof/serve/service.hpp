@@ -33,6 +33,7 @@
 /// thread otherwise. It must be thread-safe against the caller's own
 /// context and should only hand the line to the transport.
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
@@ -132,15 +133,28 @@ class Service {
     return config_;
   }
 
-  /// Lifetime totals, mirrored into the obs registry as serve.*.
+  /// What became of a queued-op request: admitted (kAccepted) and
+  /// then kCompleted, kFailed or kTimedOut, or turned away at
+  /// submit. Control ops are not counted.
+  enum class Outcome : std::size_t {
+    kAccepted,
+    kCompleted,
+    kFailed,
+    kTimedOut,
+    kRejectedOverloaded,
+    kRejectedShuttingDown,
+    kBadRequest,
+  };
+  static constexpr std::size_t kOutcomeCount = 7;
+
+  /// Lifetime totals per Outcome, mirrored into the obs registry as
+  /// serve.<name>, where <name> is the key the `status` op reports
+  /// the total under (e.g. rejected_overloaded).
   struct Stats {
-    std::uint64_t accepted = 0;
-    std::uint64_t completed = 0;
-    std::uint64_t failed = 0;
-    std::uint64_t timed_out = 0;
-    std::uint64_t rejected_overloaded = 0;
-    std::uint64_t rejected_shutting_down = 0;
-    std::uint64_t bad_requests = 0;
+    std::array<std::uint64_t, kOutcomeCount> counts{};
+    [[nodiscard]] std::uint64_t operator[](Outcome o) const noexcept {
+      return counts[static_cast<std::size_t>(o)];
+    }
   };
   [[nodiscard]] Stats stats() const noexcept;
 
@@ -162,19 +176,15 @@ class Service {
   [[nodiscard]] util::Json status_json() const;
   [[nodiscard]] std::int64_t expiry_for(std::int64_t deadline_ms) const;
   void finish_one();
+  /// Count one request's outcome here and in its serve.* counter.
+  void count(Outcome o);
 
   ServiceConfig config_;
   util::TaskPool pool_;
   std::atomic<bool> draining_{false};
   std::atomic<std::size_t> in_flight_{0};
 
-  std::atomic<std::uint64_t> accepted_{0};
-  std::atomic<std::uint64_t> completed_{0};
-  std::atomic<std::uint64_t> failed_{0};
-  std::atomic<std::uint64_t> timed_out_{0};
-  std::atomic<std::uint64_t> rejected_overloaded_{0};
-  std::atomic<std::uint64_t> rejected_shutting_down_{0};
-  std::atomic<std::uint64_t> bad_requests_{0};
+  std::array<std::atomic<std::uint64_t>, kOutcomeCount> counts_{};
 
   mutable std::mutex idle_mutex_;
   std::condition_variable idle_cv_;

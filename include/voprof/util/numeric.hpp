@@ -16,17 +16,19 @@
 
 namespace voprof::util {
 
-/// Shortest round-trip decimal representation of `v`: the output,
-/// parsed with parse_double, compares bit-identical to `v` (including
-/// +/-inf and nan). Never uses a locale-dependent decimal separator.
+/// Shortest round-trip decimal representation of `v`: for a finite
+/// `v` the output, parsed with parse_double, compares bit-identical to
+/// `v`. Never uses a locale-dependent decimal separator.
 [[nodiscard]] std::string format_double(double v);
 
-/// Parse the ENTIRE string as a double in the C numeric format
-/// (optional leading +/-, decimal point '.', optional exponent,
-/// "inf"/"nan" accepted). Surrounding spaces/tabs are tolerated;
-/// any other leftover character fails. Returns false (leaving `out`
-/// untouched) on empty input, malformed numbers or trailing junk —
-/// independent of the global C and C++ locales.
+/// Parse the ENTIRE string as a finite double in the C numeric format
+/// (optional leading +/-, decimal point '.', optional exponent).
+/// Surrounding spaces/tabs are tolerated; any other leftover character
+/// fails. Returns false (leaving `out` untouched) on empty input,
+/// malformed numbers, trailing junk, out-of-range values and the
+/// non-finite "inf"/"nan" spellings: every reader of outside numbers
+/// (flags, scenario keys, CSV cells) goes through here, and one NaN
+/// poisons every fit. Independent of the global C and C++ locales.
 [[nodiscard]] bool parse_double(std::string_view text, double& out) noexcept;
 
 /// `v` as an int when it is finite, integral and within int's range;

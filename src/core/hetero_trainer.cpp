@@ -1,5 +1,6 @@
 #include "voprof/core/hetero_trainer.hpp"
 
+#include <cmath>
 #include <utility>
 
 #include "voprof/core/invariants.hpp"
@@ -75,7 +76,6 @@ HeteroTrainingSet HeteroTrainer::collect_run(const std::vector<int>& mix,
   const mon::MeasurementReport& report = monitor.measure(config_.duration);
 
   HeteroTrainingSet out;
-  const bool check = invariants_enabled();
   const std::size_t n_samples = report.sample_count();
   const mon::SeriesSet& pm_s = report.series(mon::MeasurementReport::kPmKey);
   const mon::SeriesSet& dom0_s =
@@ -95,16 +95,16 @@ HeteroTrainingSet HeteroTrainer::collect_run(const std::vector<int>& mix,
                      pm_s.bw[i].value};
     row.dom0_cpu = dom0_s.cpu[i].value;
     row.hyp_cpu = hyp_s.cpu[i].value;
-    if (check) {
-      for (const auto& [type_name, obs] : row.types) {
-        for (double v : obs.sum.to_array()) {
+    for (const auto& [type_name, obs] : row.types) {
+      for (double v : obs.sum.to_array()) {
+        if (!std::isfinite(v)) {  // name the type only on failure
           check_finite(v, "hetero row " + type_name + " metric");
         }
       }
-      for (double v : row.pm.to_array()) check_finite(v, "hetero row PM");
-      check_finite(row.dom0_cpu, "hetero row dom0_cpu");
-      check_finite(row.hyp_cpu, "hetero row hyp_cpu");
     }
+    for (double v : row.pm.to_array()) check_finite(v, "hetero row PM");
+    check_finite(row.dom0_cpu, "hetero row dom0_cpu");
+    check_finite(row.hyp_cpu, "hetero row hyp_cpu");
     out.add(std::move(row));
   }
   return out;

@@ -1,9 +1,8 @@
 #include "voprof/core/invariants.hpp"
 
-#include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <string>
+#include <string_view>
 
 #include "voprof/core/overhead_model.hpp"
 #include "voprof/core/regression.hpp"
@@ -12,47 +11,14 @@
 
 namespace voprof::model {
 
-namespace {
-
-/// -1: unresolved, 0: disabled, 1: enabled.
-std::atomic<int> g_enabled{-1};
-
-int resolve_default() noexcept {
-#if defined(VOPROF_CHECK_INVARIANTS) && VOPROF_CHECK_INVARIANTS
-  int enabled = 1;
-#else
-  int enabled = 0;
-#endif
-  if (const char* env = std::getenv("VOPROF_CHECK_INVARIANTS")) {
-    if (env[0] == '0' && env[1] == '\0') enabled = 0;
-    if (env[0] == '1' && env[1] == '\0') enabled = 1;
-  }
-  return enabled;
-}
-
-}  // namespace
-
-bool invariants_enabled() noexcept {
-  int state = g_enabled.load(std::memory_order_relaxed);
-  if (state < 0) {
-    state = resolve_default();
-    g_enabled.store(state, std::memory_order_relaxed);
-  }
-  return state != 0;
-}
-
-void set_invariants_enabled(bool enabled) noexcept {
-  g_enabled.store(enabled ? 1 : 0, std::memory_order_relaxed);
-}
-
 void invariant_failure(const std::string& what, const std::string& detail) {
   throw InvariantViolation("invariant violated: " + what +
                            (detail.empty() ? "" : (" (" + detail + ")")));
 }
 
-void check_finite(double value, const std::string& what) {
+void check_finite(double value, std::string_view what) {
   if (!std::isfinite(value)) {
-    invariant_failure(what + " must be finite",
+    invariant_failure(std::string(what) + " must be finite",
                       "got " + std::to_string(value));
   }
 }
@@ -138,26 +104,21 @@ void check_training_row(const TrainingRow& row) {
   const struct {
     const char* name;
     double value;
-    bool non_negative;
   } fields[] = {
-      {"vm_sum.cpu", row.vm_sum.cpu, true},
-      {"vm_sum.mem", row.vm_sum.mem, true},
-      {"vm_sum.io", row.vm_sum.io, true},
-      {"vm_sum.bw", row.vm_sum.bw, true},
-      {"pm.cpu", row.pm.cpu, true},
-      {"pm.mem", row.pm.mem, true},
-      {"pm.io", row.pm.io, true},
-      {"pm.bw", row.pm.bw, true},
-      {"dom0_cpu", row.dom0_cpu, true},
-      {"hyp_cpu", row.hyp_cpu, true},
+      {"vm_sum.cpu", row.vm_sum.cpu}, {"vm_sum.mem", row.vm_sum.mem},
+      {"vm_sum.io", row.vm_sum.io},   {"vm_sum.bw", row.vm_sum.bw},
+      {"pm.cpu", row.pm.cpu},         {"pm.mem", row.pm.mem},
+      {"pm.io", row.pm.io},           {"pm.bw", row.pm.bw},
+      {"dom0_cpu", row.dom0_cpu},     {"hyp_cpu", row.hyp_cpu},
   };
+  // Every training row passes through here, so the message is built
+  // only for a value that fails.
   for (const auto& f : fields) {
+    if (f.value >= 0.0 && std::isfinite(f.value)) continue;
     const std::string what = std::string("training row ") + f.name;
     check_finite(f.value, what);
-    if (f.non_negative && f.value < 0.0) {
-      invariant_failure(what + " must be non-negative",
-                        "got " + std::to_string(f.value));
-    }
+    invariant_failure(what + " must be non-negative",
+                      "got " + std::to_string(f.value));
   }
 }
 

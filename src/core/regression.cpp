@@ -40,7 +40,7 @@ void finalize_fit(LinearFit& f, const util::Matrix& x,
   f.r_squared = ss_tot > 0.0 ? 1.0 - ss_res / ss_tot : 1.0;
   // Every fit funnels through here; a NaN coefficient would silently
   // poison all downstream predictions (Sec. V models).
-  if (invariants_enabled()) check_fit(f, "regression fit");
+  check_fit(f, "regression fit");
 }
 
 }  // namespace

@@ -21,7 +21,6 @@ namespace {
 TrainingSet rows_from_report(const mon::MeasurementReport& report,
                              const std::vector<std::string>& vm_names) {
   TrainingSet out;
-  const bool check = invariants_enabled();
   const std::size_t n_samples = report.sample_count();
   for (std::size_t i = 0; i < n_samples; ++i) {
     TrainingRow row;
@@ -38,7 +37,7 @@ TrainingSet rows_from_report(const mon::MeasurementReport& report,
     row.dom0_cpu =
         report.series(mon::MeasurementReport::kDom0Key).cpu[i].value;
     row.hyp_cpu = report.series(mon::MeasurementReport::kHypKey).cpu[i].value;
-    if (check) check_training_row(row);
+    check_training_row(row);
     out.add(std::move(row));
   }
   return out;

@@ -109,20 +109,18 @@ util::CsvDocument run_micro_sweep(const MicroSweepConfig& config,
                          "pm_cpu_sd", "dom0_cpu_sd"});
   for (const CellSummary& s : summaries) doc.add_row(summary_to_row(s));
 
-  if (config.summary_row) {
-    // Cross-cell aggregation runs through RunningStats::merge in cell
-    // order — the exact reduction a serial sweep performs, so the
-    // summary row is jobs-independent too.
-    CellSummary all;
-    all.kind = -1.0;
-    all.level = -1.0;
-    for (const CellSummary& s : summaries) {
-      for (std::size_t m = 0; m < kSweepMetrics; ++m) {
-        all.stats[m].merge(s.stats[m]);
-      }
+  // Cross-cell aggregation runs through RunningStats::merge in cell
+  // order — the exact reduction a serial sweep performs, so the
+  // summary row is jobs-independent too.
+  CellSummary all;
+  all.kind = -1.0;
+  all.level = -1.0;
+  for (const CellSummary& s : summaries) {
+    for (std::size_t m = 0; m < kSweepMetrics; ++m) {
+      all.stats[m].merge(s.stats[m]);
     }
-    doc.add_row(summary_to_row(all));
   }
+  doc.add_row(summary_to_row(all));
   return doc;
 }
 

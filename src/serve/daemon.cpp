@@ -33,6 +33,9 @@ extern "C" void voprofd_signal_handler(int) {
   }
 }
 
+/// Pending connections the listening socket queues before accept4.
+constexpr int kListenBacklog = 16;
+
 /// The event loop must never block in accept4: the listener from
 /// listen_unix is blocking (fine for simple callers), so flip it here.
 void set_nonblocking(int fd) {
@@ -93,7 +96,7 @@ util::Result<bool> Daemon::run() {
                        "daemon needs a socket path", "daemon"};
   }
   util::Result<Fd> listener =
-      listen_unix(config_.socket_path, config_.listen_backlog);
+      listen_unix(config_.socket_path, kListenBacklog);
   if (!listener.ok()) return listener.error();
   listen_fd_ = std::move(listener).take();
   set_nonblocking(listen_fd_.get());
@@ -375,10 +378,11 @@ int daemon_main(const DaemonConfig& config) {
     std::cerr << "voprofd: " << outcome.error().to_string() << '\n';
     return 1;
   }
+  using O = Service::Outcome;
   const Service::Stats stats = daemon.service().stats();
-  std::cerr << "voprofd: drained cleanly (" << stats.completed
-            << " completed, " << stats.timed_out << " timed out, "
-            << stats.rejected_overloaded << " rejected overloaded)\n";
+  std::cerr << "voprofd: drained cleanly (" << stats[O::kCompleted]
+            << " completed, " << stats[O::kTimedOut] << " timed out, "
+            << stats[O::kRejectedOverloaded] << " rejected overloaded)\n";
   return 0;
 }
 

@@ -1,5 +1,7 @@
 #include "voprof/serve/service.hpp"
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <future>
 #include <thread>
@@ -30,37 +32,6 @@ bool expired(std::int64_t expires_us) {
 
 // --- obs mirrors (function-local statics: registration is lazy and
 // the references are process-immortal, same idiom as the runner) -----
-obs::Counter& m_accepted() {
-  static obs::Counter& c = obs::Registry::global().counter("serve.accepted");
-  return c;
-}
-obs::Counter& m_completed() {
-  static obs::Counter& c = obs::Registry::global().counter("serve.completed");
-  return c;
-}
-obs::Counter& m_failed() {
-  static obs::Counter& c = obs::Registry::global().counter("serve.failed");
-  return c;
-}
-obs::Counter& m_timed_out() {
-  static obs::Counter& c = obs::Registry::global().counter("serve.timed_out");
-  return c;
-}
-obs::Counter& m_rejected_overloaded() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("serve.rejected_overloaded");
-  return c;
-}
-obs::Counter& m_rejected_shutting_down() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("serve.rejected_shutting_down");
-  return c;
-}
-obs::Counter& m_bad_requests() {
-  static obs::Counter& c =
-      obs::Registry::global().counter("serve.bad_requests");
-  return c;
-}
 obs::Counter& m_control() {
   static obs::Counter& c =
       obs::Registry::global().counter("serve.control_requests");
@@ -75,6 +46,28 @@ obs::Histogram& m_request_ms() {
       "serve.request_ms", {1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000,
                            5000, 10000, 30000, 60000});
   return h;
+}
+
+/// Service::Outcome names, in enum order.
+constexpr std::array<const char*, Service::kOutcomeCount> kOutcomeNames = {
+    "accepted",  "completed",           "failed",
+    "timed_out", "rejected_overloaded", "rejected_shutting_down",
+    "bad_requests"};
+
+/// The serve.<name> counter of an outcome, registered on its first
+/// count as the statics above are.
+obs::Counter& outcome_counter(Service::Outcome o) {
+  static std::array<std::atomic<obs::Counter*>, Service::kOutcomeCount>
+      counters{};
+  const auto i = static_cast<std::size_t>(o);
+  obs::Counter* c = counters[i].load(std::memory_order_acquire);
+  if (c == nullptr) {
+    // Racing first counts get the same counter from the registry.
+    c = &obs::Registry::global().counter(std::string("serve.") +
+                                         kOutcomeNames[i]);
+    counters[i].store(c, std::memory_order_release);
+  }
+  return *c;
 }
 
 /// The params each queued op accepts (docs/API.md lists them).
@@ -212,8 +205,7 @@ Service::~Service() {
 void Service::submit_line(const std::string& line, Responder done) {
   util::Result<Request> parsed = parse_request(line);
   if (!parsed.ok()) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    m_bad_requests().add();
+    count(Outcome::kBadRequest);
     done(error_response("", ApiError::kBadRequest,
                         parsed.error().to_string()));
     return;
@@ -231,16 +223,14 @@ void Service::submit(Request req, Responder done) {
     return;
   }
   if (req.op == Op::kSleep && !config_.enable_test_ops) {
-    bad_requests_.fetch_add(1, std::memory_order_relaxed);
-    m_bad_requests().add();
+    count(Outcome::kBadRequest);
     done(error_response(req.id, ApiError::kBadRequest,
                         "op 'sleep' is a diagnostics op; this server does "
                         "not enable test ops"));
     return;
   }
   if (draining_.load(std::memory_order_acquire)) {
-    rejected_shutting_down_.fetch_add(1, std::memory_order_relaxed);
-    m_rejected_shutting_down().add();
+    count(Outcome::kRejectedShuttingDown);
     done(error_response(req.id, ApiError::kShuttingDown,
                         "server is draining; no new work is admitted"));
     return;
@@ -252,16 +242,14 @@ void Service::submit(Request req, Responder done) {
   const std::size_t prev = in_flight_.fetch_add(1, std::memory_order_acq_rel);
   if (prev >= config_.queue_capacity) {
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
-    rejected_overloaded_.fetch_add(1, std::memory_order_relaxed);
-    m_rejected_overloaded().add();
+    count(Outcome::kRejectedOverloaded);
     done(error_response(
         req.id, ApiError::kOverloaded,
         "queue full (" + std::to_string(config_.queue_capacity) +
             " requests in flight); retry later"));
     return;
   }
-  accepted_.fetch_add(1, std::memory_order_relaxed);
-  m_accepted().add();
+  count(Outcome::kAccepted);
   m_queue_depth().set(static_cast<double>(prev + 1));
 
   const std::int64_t expires_us = expiry_for(req.deadline_ms);
@@ -297,16 +285,16 @@ std::size_t Service::in_flight() const noexcept {
   return in_flight_.load(std::memory_order_acquire);
 }
 
+void Service::count(Outcome o) {
+  counts_[static_cast<std::size_t>(o)].fetch_add(1, std::memory_order_relaxed);
+  outcome_counter(o).add();
+}
+
 Service::Stats Service::stats() const noexcept {
   Stats s;
-  s.accepted = accepted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.timed_out = timed_out_.load(std::memory_order_relaxed);
-  s.rejected_overloaded = rejected_overloaded_.load(std::memory_order_relaxed);
-  s.rejected_shutting_down =
-      rejected_shutting_down_.load(std::memory_order_relaxed);
-  s.bad_requests = bad_requests_.load(std::memory_order_relaxed);
+  for (std::size_t i = 0; i < kOutcomeCount; ++i) {
+    s.counts[i] = counts_[i].load(std::memory_order_relaxed);
+  }
   return s;
 }
 
@@ -330,8 +318,7 @@ void Service::run_request(const Request& req, std::int64_t expires_us,
   std::string response;
   if (t0 >= expires_us) {
     // Expired while queued: answer without running the work at all.
-    timed_out_.fetch_add(1, std::memory_order_relaxed);
-    m_timed_out().add();
+    count(Outcome::kTimedOut);
     response = error_response(req.id, ApiError::kTimedOut,
                               "deadline expired while queued");
   } else {
@@ -339,22 +326,18 @@ void Service::run_request(const Request& req, std::int64_t expires_us,
       VOPROF_WALL_SPAN("serve", op_name(req.op));
       Reply reply = dispatch(req, expires_us);
       if (!reply.failed) {
-        completed_.fetch_add(1, std::memory_order_relaxed);
-        m_completed().add();
+        count(Outcome::kCompleted);
         response = ok_response(req.id, std::move(reply.result));
       } else {
         if (reply.code == ApiError::kTimedOut) {
-          timed_out_.fetch_add(1, std::memory_order_relaxed);
-          m_timed_out().add();
+          count(Outcome::kTimedOut);
         } else {
-          failed_.fetch_add(1, std::memory_order_relaxed);
-          m_failed().add();
+          count(Outcome::kFailed);
         }
         response = error_response(req.id, reply.code, reply.message);
       }
     } catch (const std::exception& e) {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      m_failed().add();
+      count(Outcome::kFailed);
       response = error_response(req.id, ApiError::kInternal, e.what());
     }
   }
@@ -499,14 +482,9 @@ util::Json Service::status_json() const {
   j.set("queue_capacity", static_cast<double>(config_.queue_capacity));
   j.set("in_flight", static_cast<double>(in_flight()));
   j.set("draining", draining());
-  j.set("accepted", static_cast<double>(s.accepted));
-  j.set("completed", static_cast<double>(s.completed));
-  j.set("failed", static_cast<double>(s.failed));
-  j.set("timed_out", static_cast<double>(s.timed_out));
-  j.set("rejected_overloaded", static_cast<double>(s.rejected_overloaded));
-  j.set("rejected_shutting_down",
-        static_cast<double>(s.rejected_shutting_down));
-  j.set("bad_requests", static_cast<double>(s.bad_requests));
+  for (std::size_t i = 0; i < kOutcomeCount; ++i) {
+    j.set(kOutcomeNames[i], static_cast<double>(s.counts[i]));
+  }
   j.set("test_ops", config_.enable_test_ops);
   return j;
 }

@@ -28,7 +28,8 @@ bool parse_double(std::string_view text, double& out) noexcept {
   double value = 0.0;
   const std::from_chars_result res =
       std::from_chars(text.data(), text.data() + text.size(), value);
-  if (res.ec != std::errc{} || res.ptr != text.data() + text.size()) {
+  if (res.ec != std::errc{} || res.ptr != text.data() + text.size() ||
+      !std::isfinite(value)) {
     return false;
   }
   out = value;

@@ -17,6 +17,7 @@
 #   events5.json       a voprof trace whose traceEvents is 5
 #   no_column.csv      an observation CSV without the hyp_cpu column
 #   obs.csv            an observation CSV with 12 single-VM rows
+#   nan.csv            obs.csv with a nan pm_cpu cell in its last row
 #   one_row.csv        an observation CSV with 1 single-VM row
 #   malformed.json     a truncated JSON document
 #   no_spans.json      a voprof trace without events
@@ -24,6 +25,7 @@
 #   no_cpu_trace.conf  a scenario replaying no_cpu_trace.csv, a trace
 #                      CSV without the vm_cpu column
 #   ok.conf            a valid 2 s scenario
+#   inf.conf           ok.conf with an infinite bw
 #   keep.txt           an existing output file holding "keep"
 # and no directory no_dir, so no_dir/FILE is an output that cannot be
 # opened.
@@ -48,12 +50,14 @@ for i in 1 2 3 4 5 6 7 8 9 10 11 12; do
   printf '1,%d,%d,%d,%d,%d,800,20,60,17,3\n' $((i * 7)) $((i * 50)) \
     $((i * 3)) $((i * 40)) $((i * 7 + 20)) >>obs.csv
 done
+{ cat obs.csv; printf '1,10,100,5,50,nan,800,20,60,17,3\n'; } >nan.csv
 printf '{"schema":"voprof-bench-1","benchmarks":[' >malformed.json
 printf '{"schema":"voprof-trace-1","traceEvents":[]}\n' >no_spans.json
 printf '[cluster]\n[vm web]\ncpu_pct = 80\n[run]\nduration = 2\n' >typo.conf
 printf 'vm_mem,vm_io\n10,5\n' >no_cpu_trace.csv
 printf '[cluster]\n[vm web]\ntrace = no_cpu_trace.csv\n' >no_cpu_trace.conf
 printf '[cluster]\n[vm web]\ncpu = 50\n[run]\nduration = 2\n' >ok.conf
+printf '[cluster]\n[vm web]\ncpu = 50\nbw = inf\n[run]\nduration = 2\n' >inf.conf
 printf 'keep\n' >keep.txt
 
 out=$("$bin" "$@" 2>stderr.txt)

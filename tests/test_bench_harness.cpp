@@ -44,7 +44,6 @@ TEST(Stats, SingleSampleCollapses) {
 
 TEST(Harness, JsonMatchesSchema) {
   Session session("bench_selftest");
-  session.set_auto_write(false);
   session.bench("work/a", BenchOptions{1, 3}, [] { return seeded_rep(7); });
   session.record_section("sweep#0", 0.5, 30.0, 123.0);
 
@@ -83,9 +82,7 @@ TEST(Harness, JsonMatchesSchema) {
 
 TEST(Harness, RepetitionsDeterministicUnderFixedSeed) {
   Session a("bench_det");
-  a.set_auto_write(false);
   Session b("bench_det");
-  b.set_auto_write(false);
   for (Session* s : {&a, &b}) {
     s->bench("fixed-seed", BenchOptions{0, 4}, [] { return seeded_rep(42); });
   }
@@ -99,7 +96,6 @@ TEST(Harness, RepetitionsDeterministicUnderFixedSeed) {
 
 TEST(Harness, SectionNamesCount) {
   Session session("bench_sections");
-  session.set_auto_write(false);
   EXPECT_EQ(session.next_section_name("cells"), "cells#0");
   EXPECT_EQ(session.next_section_name("cells"), "cells#1");
 }

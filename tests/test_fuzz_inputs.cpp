@@ -160,7 +160,6 @@ util::Json trace_document() {
 /// timings and no build or clock fields, for the same reason.
 util::Json bench_record() {
   bench::harness::Session session("bench_fuzz");
-  session.set_auto_write(false);
   session.record_section("sweep#0", 0.5, 2.5, 123.0);
   session.record_section("fit_ols", 0.25);
   util::Json doc = session.to_json();

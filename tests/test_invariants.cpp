@@ -7,6 +7,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "voprof/core/invariants.hpp"
 #include "voprof/core/regression.hpp"
@@ -106,13 +108,28 @@ TEST(RowChecks, AcceptsSoundRowRejectsPoison) {
   EXPECT_THROW(check_training_row(row), InvariantViolation);
 }
 
-TEST(Toggle, RuntimeOverrideWins) {
-  const bool before = voprof::model::invariants_enabled();
-  voprof::model::set_invariants_enabled(true);
-  EXPECT_TRUE(voprof::model::invariants_enabled());
-  voprof::model::set_invariants_enabled(false);
-  EXPECT_FALSE(voprof::model::invariants_enabled());
-  voprof::model::set_invariants_enabled(before);
+TEST(RowChecks, MessageNamesTheFailingField) {
+  voprof::model::TrainingRow row;
+  row.n_vms = 1;
+  row.pm.bw = -2.0;
+  try {
+    check_training_row(row);
+    FAIL() << "accepted a negative pm.bw";
+  } catch (const InvariantViolation& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "training row pm.bw must be non-negative (got -2"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The fit hook runs in every build: a NaN observation fails the fit
+// instead of yielding NaN coefficients.
+TEST(FitChecks, OlsWithNanResponseThrows) {
+  voprof::util::Matrix x(4, 1);
+  const std::vector<double> y = {1.0, 3.0, kNan, 7.0};
+  for (std::size_t r = 0; r < 4; ++r) x(r, 0) = static_cast<double>(r);
+  EXPECT_THROW((void)voprof::model::fit_ols(x, y), InvariantViolation);
 }
 
 // --- Engine-scenario audits -------------------------------------------

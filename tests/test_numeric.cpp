@@ -69,6 +69,13 @@ TEST(ParseDouble, RejectsJunk) {
   EXPECT_FALSE(parse_double("1.5x", v));
   EXPECT_FALSE(parse_double("1.5 2.5", v));
   EXPECT_FALSE(parse_double("++1", v));
+  // Non-finite numbers are input errors too: one NaN poisons a fit.
+  v = 2.5;
+  for (const char* text : {"nan", "NaN", "-nan", "inf", "-inf", "+inf",
+                           "infinity", "INF", "1e400"}) {
+    EXPECT_FALSE(parse_double(text, v)) << text;
+  }
+  EXPECT_EQ(v, 2.5);
 }
 
 /// Installs a decimal-comma locale for the scope, restoring the global

@@ -241,6 +241,18 @@ TEST(ScenarioSpec, UnknownKeysAndSectionsAreValidationErrors) {
             std::string::npos);
 }
 
+TEST(ScenarioSpec, NonFiniteNumbersAreValidationErrors) {
+  // Accepted, an infinite bandwidth runs and prints -nan utilizations.
+  for (const char* bad : {"inf", "-inf", "nan"}) {
+    const util::Error e = rejection(
+        std::string("[cluster]\n[vm web]\ncpu = 50\nbw = ") + bad + "\n");
+    EXPECT_EQ(e.code, util::Errc::kValidation) << bad;
+    EXPECT_EQ(e.context, "[vm web]") << bad;
+    EXPECT_NE(e.message.find("bw"), std::string::npos) << e.message;
+    EXPECT_NE(e.message.find(bad), std::string::npos) << e.message;
+  }
+}
+
 TEST(ScenarioSpec, BoundsAreDeclaredPerKey) {
   for (const char* bad :
        {"[cluster]\nseed = -1\n[vm a]\n", "[cluster]\nmachines = 0\n[vm a]\n",

@@ -90,6 +90,27 @@ TEST(TrainingSetCsv, MissingColumnRejected) {
       << r.error().to_string();
 }
 
+TEST(TrainingSetCsv, NonFiniteCellRejected) {
+  // Accepted, one nan cell fits to a models file that predict cannot
+  // read back.
+  const std::string header =
+      "n_vms,vm_cpu,vm_mem,vm_io,vm_bw,pm_cpu,pm_mem,pm_io,pm_bw,dom0_cpu,"
+      "hyp_cpu\n";
+  for (const char* bad : {"nan", "inf", "-inf"}) {
+    const std::string text = header + "1,10,100,5,50,30,800,20,60,17,3\n" +
+                             "1,20,100,5,50," + bad + ",800,20,60,17,3\n";
+    const util::Result<util::CsvDocument> csv =
+        util::CsvDocument::parse_string_result(text);
+    const util::Result<TrainingSet> r =
+        csv.ok() ? training_set_from_csv(csv.value())
+                 : util::Result<TrainingSet>(csv.error());
+    ASSERT_FALSE(r.ok()) << "accepted pm_cpu " << bad;
+    EXPECT_EQ(r.error().context, "row 3") << r.error().to_string();
+    EXPECT_NE(r.error().message.find(bad), std::string::npos)
+        << r.error().to_string();
+  }
+}
+
 TEST(TrainingSetCsv, VmCountMustBeAPositiveInteger) {
   // n_vms comes from an external observation CSV: reject it before any
   // cast (nan and 1e20 would be undefined, 2.5 would truncate to 2).

@@ -160,9 +160,9 @@ TEST(Service, SaturationGetsStructuredOverloadedNotBlocking) {
   service.begin_drain();
   service.wait_idle();
   const Service::Stats stats = service.stats();
-  EXPECT_EQ(stats.accepted, 2u);
-  EXPECT_EQ(stats.completed, 2u);
-  EXPECT_EQ(stats.rejected_overloaded, 4u);
+  EXPECT_EQ(stats[Service::Outcome::kAccepted], 2u);
+  EXPECT_EQ(stats[Service::Outcome::kCompleted], 2u);
+  EXPECT_EQ(stats[Service::Outcome::kRejectedOverloaded], 4u);
   EXPECT_EQ(sink.take().size(), 2u);
 }
 
@@ -171,7 +171,7 @@ TEST(Service, DeadlineExpiryMidRequestIsTimedOut) {
   const std::string response = service.handle_line(
       R"({"op":"sleep","deadline_ms":40,"params":{"ms":5000}})");
   EXPECT_EQ(error_code_of(response), "timed_out");
-  EXPECT_EQ(service.stats().timed_out, 1u);
+  EXPECT_EQ(service.stats()[Service::Outcome::kTimedOut], 1u);
 }
 
 TEST(Service, DeadlineExpiryWhileQueuedIsTimedOut) {
@@ -209,8 +209,8 @@ TEST(Service, DrainRejectsNewWorkAndCompletesAdmitted) {
   service.wait_idle();
   EXPECT_EQ(sink.take().size(), 4u);
   const Service::Stats stats = service.stats();
-  EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.rejected_shutting_down, 1u);
+  EXPECT_EQ(stats[Service::Outcome::kCompleted], 4u);
+  EXPECT_EQ(stats[Service::Outcome::kRejectedShuttingDown], 1u);
 }
 
 TEST(Service, DrainOpDrainsViaTheWire) {
@@ -242,8 +242,8 @@ TEST(Service, BadParamsAreBadRequests) {
                                               R"("params":{}})")),
             "bad_request");  // scenario text is required
   const Service::Stats stats = service.stats();
-  EXPECT_EQ(stats.failed, 4u);
-  EXPECT_EQ(stats.completed, 0u);
+  EXPECT_EQ(stats[Service::Outcome::kFailed], 4u);
+  EXPECT_EQ(stats[Service::Outcome::kCompleted], 0u);
 }
 
 TEST(Service, HugeDeadlineIsClampedToTheMaximum) {
@@ -279,7 +279,7 @@ TEST(Service, OutOfRangeIntegerParamsAreBadRequests) {
           << line;
     }
   }
-  EXPECT_EQ(service.stats().completed, 0u);
+  EXPECT_EQ(service.stats()[Service::Outcome::kCompleted], 0u);
 }
 
 TEST(Service, ScenarioTyposAreBadRequests) {
@@ -303,7 +303,7 @@ TEST(Service, ScenarioTyposAreBadRequests) {
                   "validation error"),
               std::string::npos);
   }
-  EXPECT_EQ(service.stats().completed, 0u);
+  EXPECT_EQ(service.stats()[Service::Outcome::kCompleted], 0u);
 }
 
 TEST(Service, ServedScenarioOpensNoFile) {
@@ -504,7 +504,7 @@ TEST(Daemon, RequestStopDrainsWithWorkInFlight) {
   }
   EXPECT_TRUE(outcome.get());
   const Service::Stats stats = daemon.service().stats();
-  EXPECT_EQ(stats.completed, 3u);
+  EXPECT_EQ(stats[Service::Outcome::kCompleted], 3u);
 }
 
 TEST(Daemon, DeeplyNestedLineIsABadRequestNotACrash) {
